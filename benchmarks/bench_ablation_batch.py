@@ -30,7 +30,8 @@ from repro.bench.scenarios import s3_variant_set
 from repro.bench.snapshot import make_snapshot, write_snapshot
 from repro.core.scheduling import SchedMinpts
 from repro.data.registry import load_dataset
-from repro.exec.serial import SerialExecutor
+from repro.engine import Session
+from repro.exec import Executor
 from repro.metrics.counters import WorkCounters
 
 from conftest import bench_scale
@@ -44,8 +45,9 @@ SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 
 def _run(points, vset, **kwargs):
-    ex = SerialExecutor(scheduler=SchedMinpts(), **kwargs)
-    return ex.run(points, vset, dataset="SW1")
+    ex = Executor("serial", scheduler=SchedMinpts(), **kwargs)
+    with Session(points, dataset="SW1") as session:
+        return session.run(vset, executor=ex)
 
 
 def test_ablation_batch_report(benchmark, report):

@@ -16,8 +16,7 @@ from repro.bench.reporting import format_table
 from repro.core.reuse import CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED
 from repro.core.variants import VariantSet
 from repro.data.tec import TECMapModel, generate_tec_points
-from repro.exec.base import IndexPair
-from repro.exec.serial import SerialExecutor
+from repro.engine import Session
 
 from conftest import bench_scale
 
@@ -41,17 +40,17 @@ def test_ablation_morphology_report(benchmark, report):
             pts = generate_tec_points(
                 n, model, seed=1283694103, area_fraction=max(n / 1_864_620, 1e-3)
             )
-            indexes = IndexPair.build(pts, 70)
-            for pol in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-                batch = SerialExecutor(reuse_policy=pol).run(pts, VSET, indexes=indexes)
-                rows.append(
-                    [
-                        name,
-                        pol.name,
-                        batch.record.makespan,
-                        batch.record.average_reuse_fraction,
-                    ]
-                )
+            with Session(pts, low_res_r=70) as session:
+                for pol in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
+                    batch = session.run(VSET, policy=pol)
+                    rows.append(
+                        [
+                            name,
+                            pol.name,
+                            batch.record.makespan,
+                            batch.record.average_reuse_fraction,
+                        ]
+                    )
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

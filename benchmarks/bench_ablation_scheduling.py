@@ -17,8 +17,7 @@ from repro.bench.reporting import format_table
 from repro.core.scheduling import SchedGreedy
 from repro.core.variants import Variant, VariantSet
 from repro.data.registry import load_dataset
-from repro.exec.base import IndexPair
-from repro.exec.serial import SerialExecutor
+from repro.engine import Session
 
 from conftest import bench_scale
 
@@ -53,12 +52,13 @@ class _SchedMostRecent(SchedGreedy):
 
 def test_ablation_scheduling_report(benchmark, report):
     ds = load_dataset("SW1", bench_scale())
-    indexes = IndexPair.build(ds.points, 70)
+    session = Session(ds.points, low_res_r=70)
+    session.indexes()
 
     def run():
         rows = []
         for sched in (SchedGreedy(), _SchedMostRecent(), _SchedNoReuse()):
-            batch = SerialExecutor(scheduler=sched).run(ds.points, VSET, indexes=indexes)
+            batch = session.run(VSET, scheduler=sched)
             rows.append(
                 [
                     sched.name,
@@ -69,7 +69,8 @@ def test_ablation_scheduling_report(benchmark, report):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    with session:
+        rows = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
         "ablation_scheduling",
         format_table(
@@ -95,16 +96,16 @@ def test_ablation_low_reuse_overhead_report(benchmark, report):
     """
     ds = load_dataset("cF_1M_30N", bench_scale())
     vset = VariantSet.from_pairs([(0.2, 32), (0.25, 32), (0.3, 32), (0.35, 32)])
-    indexes = IndexPair.build(ds.points, 70)
+    session = Session(ds.points, low_res_r=70)
+    session.indexes()
 
     def run():
-        with_reuse = SerialExecutor().run(ds.points, vset, indexes=indexes)
-        no_reuse = SerialExecutor(scheduler=_SchedNoReuse()).run(
-            ds.points, vset, indexes=indexes
-        )
+        with_reuse = session.run(vset)
+        no_reuse = session.run(vset, scheduler=_SchedNoReuse())
         return with_reuse.record, no_reuse.record
 
-    with_reuse, no_reuse = benchmark.pedantic(run, rounds=1, iterations=1)
+    with session:
+        with_reuse, no_reuse = benchmark.pedantic(run, rounds=1, iterations=1)
     overhead = with_reuse.makespan / no_reuse.makespan - 1.0
     report(
         "ablation_low_reuse_overhead",

@@ -24,9 +24,8 @@ from repro.bench.reporting import format_table
 from repro.core.dbscan import dbscan
 from repro.core.variants import VariantSet
 from repro.data.registry import load_dataset
-from repro.exec.base import IndexPair
+from repro.engine import Session
 from repro.exec.cost import DEFAULT_COST_MODEL
-from repro.exec.serial import SerialExecutor
 from repro.metrics.counters import WorkCounters
 from repro.metrics.quality import quality_score
 
@@ -36,9 +35,9 @@ EPS_FAMILY = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 MINPTS_GRID = (4, 8, 16)
 
 
-def _variant_batch(points, vset, indexes):
+def _variant_batch(session, vset):
     t0 = time.perf_counter()
-    batch = SerialExecutor().run(points, vset, indexes=indexes)
+    batch = session.run(vset)
     return batch, batch.record.makespan, time.perf_counter() - t0
 
 
@@ -55,13 +54,14 @@ def _optics_family(points, eps_values, minpts, indexes):
 
 def test_baseline_optics_report(benchmark, report):
     ds = load_dataset("SW1", bench_scale())
-    indexes = IndexPair.build(ds.points, 70)
+    session = Session(ds.points, low_res_r=70)
+    indexes = session.indexes()
 
     def run():
         rows = []
         # --- regime 1: eps-only family -------------------------------
         vset1 = VariantSet.from_product(EPS_FAMILY, [8])
-        batch, v_units, v_wall = _variant_batch(ds.points, vset1, indexes)
+        batch, v_units, v_wall = _variant_batch(session, vset1)
         o_results, o_units, o_wall = _optics_family(ds.points, EPS_FAMILY, 8, indexes)
         q = min(
             quality_score(dbscan(ds.points, e, 8, index=indexes.t_low), o_results[e])
@@ -73,7 +73,7 @@ def test_baseline_optics_report(benchmark, report):
         )
         # --- regime 2: eps x minpts grid ------------------------------
         vset2 = VariantSet.from_product(EPS_FAMILY, MINPTS_GRID)
-        batch2, v2_units, v2_wall = _variant_batch(ds.points, vset2, indexes)
+        batch2, v2_units, v2_wall = _variant_batch(session, vset2)
         o2_units = o2_wall = 0.0
         for m in MINPTS_GRID:
             _, u, w = _optics_family(ds.points, EPS_FAMILY, m, indexes)
@@ -83,7 +83,8 @@ def test_baseline_optics_report(benchmark, report):
         rows.append(["eps x minpts (|V|=18)", "VariantDBSCAN", v2_units, v2_wall, None])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    with session:
+        rows = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
         "baseline_optics",
         format_table(

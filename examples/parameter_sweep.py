@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import time
 
-from repro import SchedGreedy, SchedMinpts, SimulatedExecutor, VariantSet, dependency_tree
+from repro import SchedGreedy, SchedMinpts, Session, VariantSet, dependency_tree
 from repro.bench.reference import reference_run
 from repro.core.reuse import CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED
 from repro.core.scheduling import depth_first_schedule
 from repro.data.registry import load_dataset
-from repro.exec import ProcessPoolExecutorBackend
-from repro.exec.base import IndexPair
 
 # ------------------------------------------------------------------
 ds = load_dataset("SW1", scale=0.005)
 variants = VariantSet.from_product([0.2, 0.3, 0.4], [8, 16, 24, 32])
-indexes = IndexPair.build(ds.points, 70)
+session = Session(ds.points, dataset="SW1", low_res_r=70)
 print(f"dataset SW1 @ {ds.n_points} points; |V| = {len(variants)}")
 
 # ------------------------------------------------------------------
@@ -53,8 +51,8 @@ print(f"{'T':>4}  {'SCHEDGREEDY':>22}  {'SCHEDMINPTS':>22}")
 for t in (1, 2, 4, 8, 16):
     cells = []
     for sched in (SchedGreedy(), SchedMinpts()):
-        batch = SimulatedExecutor(n_threads=t, scheduler=sched).run(
-            ds.points, variants, indexes=indexes
+        batch = session.run(
+            variants, executor="simulated", n_threads=t, scheduler=sched
         )
         rec = batch.record
         cells.append(
@@ -66,9 +64,7 @@ for t in (1, 2, 4, 8, 16):
 # Reuse-policy comparison at T = 1 (the Figure 5/7 setting).
 print("\nreuse-policy sweep (T = 1):")
 for policy in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-    batch = SimulatedExecutor(n_threads=1, reuse_policy=policy).run(
-        ds.points, variants, indexes=indexes
-    )
+    batch = session.run(variants, executor="simulated", policy=policy)
     rec = batch.record
     print(
         f"  {policy.name:<15} {ref.total_units / rec.makespan:6.2f}x over reference, "
@@ -78,8 +74,9 @@ for policy in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
 # ------------------------------------------------------------------
 # And a genuinely parallel wall-clock run.
 t0 = time.perf_counter()
-batch = ProcessPoolExecutorBackend(n_threads=4).run(ds.points, variants)
+batch = session.run(variants, executor="processes", n_threads=4)
 wall = time.perf_counter() - t0
+session.close()
 print(
     f"\nprocess pool (4 workers): {len(batch.results)} variants in {wall:.2f}s wall, "
     f"avg reuse {batch.record.average_reuse_fraction:.1%} (chain-partitioned)"

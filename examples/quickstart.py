@@ -53,7 +53,7 @@ variants = VariantSet.from_product([0.4, 0.6, 0.8], [4, 8, 16])
 print(f"\nvariant grid: |V| = {len(variants)}  ->  {list(variants)}")
 
 # The Session owns the point store and memoized indexes; defaults are
-# the paper's (SerialExecutor, SCHEDGREEDY, CLUSDENSITY).
+# the paper's (serial executor, SCHEDGREEDY, CLUSDENSITY).
 session = Session(points)
 batch = session.run(variants)
 

@@ -50,14 +50,7 @@ from repro.engine import (
     RunContext,
     Session,
 )
-from repro.exec import (
-    BatchResult,
-    SerialExecutor,
-    SimulatedExecutor,
-    ThreadPoolExecutorBackend,
-    ProcessPoolExecutorBackend,
-    run_variants,
-)
+from repro.exec import EXECUTORS, BatchResult, Executor
 from repro.index import BruteForceIndex, CellGraphIndex, RTree, UniformGridIndex
 from repro.metrics import (
     BatchRunRecord,
@@ -103,7 +96,6 @@ __all__ = [
     "quality_score",
     "VariantRunRecord",
     "BatchRunRecord",
-    "run_variants",
     "BatchResult",
     "Session",
     "PointStore",
@@ -117,10 +109,8 @@ __all__ = [
     "use_tracer",
     "MetricsRegistry",
     "adjusted_rand_index",
-    "SerialExecutor",
-    "SimulatedExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
+    "Executor",
+    "EXECUTORS",
     "BatchReport",
     "CheckpointStore",
     "FaultPlan",

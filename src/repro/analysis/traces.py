@@ -4,16 +4,18 @@ The static rules prove the *code* orders donor reads behind hard deps;
 this module checks that a *run* actually honored that order.  Input is
 the JSONL trace written by ``repro trace --jsonl`` /
 :meth:`MetricsRegistry.to_jsonl`: every ``task`` span carries
-``args = {"kind": ..., "id": ..., "deps": [...]}`` naming the
-:mod:`repro.core.taskgraph` node it executed and that node's **hard**
+``args = {"kind": ..., "id": ..., "deps": [...], "clock": ...}`` naming
+the :mod:`repro.core.taskgraph` node it executed, that node's **hard**
 dependencies (soft deps ride in a separate ``soft`` key and impose no
-order).  All spans in one file share a clock — workers stamp on the
-parent's ``perf_counter`` origin, simulated substrates on the
-work-unit clock — so happens-before reduces to interval arithmetic:
+order), and the clock of its interval: ``wall`` (``perf_counter``
+seconds, shared by the parent and its workers) or ``modeled`` (the
+``sim`` substrate's work units; spans without the tag count as wall).
+Happens-before is checked within one clock, where it reduces to
+interval arithmetic:
 
     for every span S and every hard dep ``d`` of S that produced at
-    least one span, some span of ``d`` must FINISH before S STARTS
-    (within ``tolerance``).
+    least one span on S's clock, some span of ``d`` must FINISH before
+    S STARTS (within ``tolerance``).
 
 A dep with *no* spans is skipped, deliberately: a donor that died
 permanently never emits a span, and the supervised runtime re-plans
@@ -60,6 +62,7 @@ class TaskSpan:
     dur: float
     thread: str
     line: int  # 1-based line in the JSONL file
+    clock: str = "wall"
 
     @property
     def end(self) -> float:
@@ -97,6 +100,7 @@ def read_task_spans(path: str | Path) -> list[TaskSpan]:
                 dur=float(obj.get("dur", 0.0)),
                 thread=str(obj.get("thread", "")),
                 line=lineno,
+                clock=str(args.get("clock", "wall")),
             )
         )
     return spans
@@ -109,14 +113,14 @@ def check_trace(
 ) -> list[Finding]:
     """Happens-before violations in one trace file, as findings."""
     spans = read_task_spans(path)
-    by_id: dict[str, list[TaskSpan]] = {}
+    by_id: dict[tuple[str, str], list[TaskSpan]] = {}
     for span in spans:
-        by_id.setdefault(span.task_id, []).append(span)
+        by_id.setdefault((span.clock, span.task_id), []).append(span)
     source = Path(path).read_text()
     findings: list[Finding] = []
     for span in spans:
         for dep in span.deps:
-            producers = by_id.get(dep)
+            producers = by_id.get((span.clock, dep))
             if not producers:
                 # Never traced: the producer died and the dependent was
                 # re-planned — recovery, not a race.

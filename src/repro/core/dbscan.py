@@ -32,7 +32,7 @@ Implementation notes
   contents) still match the scalar machine exactly (see DESIGN.md
   substitutions).
 * When a tracer is active (:mod:`repro.obs`), a
-  :class:`~repro.obs.span.PhaseClock` partitions the run into
+  :class:`~repro.util.tracing.PhaseClock` partitions the run into
   ``outer_scan`` (scanning for founders, including their searches) and
   ``expand`` (frontier expansion of founded clusters) phases, switched
   at cluster granularity.  Disabled tracing costs one no-op method

@@ -25,9 +25,9 @@ Safety rules
 Concurrency
 -----------
 All public methods take an internal lock, so one instance may be shared
-by every worker of the thread backend.  The process backend cannot
-share Python objects cheaply; each worker process builds its own cache
-(see :mod:`repro.exec.procpool`).
+by every worker of the threads substrate.  Process lanes cannot share
+Python objects cheaply; each lane worker builds its own cache (see
+:mod:`repro.exec.graph`).
 
 Capacity
 --------

@@ -2,8 +2,8 @@
 
 Import order matters: ``store`` → ``context`` → ``factory`` →
 ``session``.  ``session`` lazily imports ``repro.exec`` inside methods,
-which keeps this package importable from ``repro.exec.base`` (the
-compatibility re-export site for :class:`IndexPair`) without a cycle.
+which keeps this package importable from ``repro.exec`` without a
+cycle.
 """
 
 from repro.engine.store import (  # noqa: I001  (import order is load-bearing)

@@ -4,11 +4,10 @@ Before the engine refactor every executor method threaded seven-plus
 positional arguments (``points, variants, indexes, scheduler,
 reuse_policy, cost_model, tracer, batch knobs...``) through three
 layers; :class:`RunContext` collapses them into a single immutable
-carrier that :class:`~repro.engine.session.Session` (or the
-compatibility path in :class:`~repro.exec.base.BaseExecutor`)
-assembles once per run and every backend consumes uniformly.
+carrier that :class:`~repro.engine.session.Session` assembles once per
+run and the task-graph runtime consumes uniformly.
 
-Backends read **all** configuration from the context — never from
+The runtime reads **all** configuration from the context — never from
 executor instance attributes — so a single executor instance can serve
 many sessions/configurations, and the context is the one seam future
 sharding/async/service layers need to extend.
@@ -26,6 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.util.validation import check_positive_int
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.neighcache import NeighborhoodCache
     from repro.core.reuse import ReusePolicy
@@ -33,13 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.factory import IndexFactory, IndexPair
     from repro.engine.store import PointStore
     from repro.exec.cost import CostModel
-    from repro.obs.span import Tracer
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
     from repro.resilience.policy import RetryPolicy
     from repro.supervise.supervisor import SupervisePolicy
+    from repro.util.tracing import Tracer
 
-__all__ = ["KERNELS", "RunContext"]
+__all__ = ["KERNELS", "RunContext", "check_knobs"]
 
 
 def _null_tracer() -> Tracer:
@@ -60,9 +61,35 @@ def _null_tracer() -> Tracer:
 KERNELS = ("bfs", "cellgraph")
 
 
+def check_knobs(
+    *,
+    kernel: str = "bfs",
+    regions: int | None = None,
+    part_size: int | None = None,
+    shard_threshold: int | None = None,
+    batch_size: int = 0,
+    cache_bytes: int = 0,
+) -> None:
+    """Validate the run knobs a Session or Executor accepts; raise ValueError."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}")
+    if regions is not None and part_size is not None:
+        raise ValueError("pass at most one of regions / part_size")
+    for name, value in (("regions", regions), ("part_size", part_size)):
+        if value is not None:
+            check_positive_int(value, name=name)
+    for name, value in (
+        ("shard_threshold", shard_threshold),
+        ("batch_size", batch_size),
+        ("cache_bytes", cache_bytes),
+    ):
+        if value is not None and int(value) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RunContext:
-    """Everything a backend needs to execute one variant batch.
+    """Everything the runtime needs to execute one variant batch.
 
     Attributes
     ----------
@@ -109,22 +136,21 @@ class RunContext:
         cell-graph grid is per-eps) across the run; ``None`` builds
         them transiently.
     regions:
-        Spatial region count for the sharded executor; ``None`` lets
-        ``part_size`` (or the worker count) decide.  Ignored by the
-        variant-parallel backends.
+        Spatial region count for shard and hybrid lowering; ``None``
+        lets ``part_size`` (or the worker count) decide.  Ignored by
+        variant lowering.
     part_size:
-        Target points per region for the sharded executor (region
+        Target points per region for shard and hybrid lowering (region
         count becomes ``ceil(n / part_size)``); ``None`` defers to
-        ``regions`` / the worker count.  Ignored by the
-        variant-parallel backends.
+        ``regions`` / the worker count.  Ignored by variant lowering.
     shard_threshold:
         Point count at which hybrid lowering fans a *from-scratch*
         variant out into shard/merge tasks (see
         :mod:`repro.core.taskgraph`).  ``None`` leaves the choice to
-        the backend (the hybrid executor applies
-        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD`; the
-        simulated executor lowers variant-only); ``0`` shards every
-        scratch variant.
+        the executor row (``hybrid`` applies
+        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD`;
+        ``simulated`` lowers variant-only); ``0`` shards every scratch
+        variant.
     supervisor:
         Self-healing supervision knobs
         (:class:`~repro.supervise.supervisor.SupervisePolicy`):

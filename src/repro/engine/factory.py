@@ -9,8 +9,7 @@ reuse the same objects instead of re-sorting and re-packing the trees.
 
 Also here:
 
-* :class:`IndexPair` — the two shared R-trees of Algorithm 3 (moved
-  from ``repro.exec.base``, which re-exports it for compatibility).
+* :class:`IndexPair` — the two shared R-trees of Algorithm 3.
 * :func:`share_index_pair` / :func:`attach_index_pair` — the shared-
   memory transport that lets process-pool workers *reattach* the
   parent's already-built trees (flat arrays, zero-copy views) instead
@@ -37,7 +36,7 @@ from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
-from repro.obs.span import Tracer, resolve_tracer
+from repro.util.tracing import Tracer, resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing import shared_memory

@@ -30,7 +30,7 @@ a worker raises.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE
 from repro.core.neighcache import NeighborhoodCache
@@ -38,18 +38,19 @@ from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
 from repro.core.scheduling import SCHEDULERS, Scheduler
 from repro.core.variant_dbscan import DEFAULT_LOW_RES_R
 from repro.core.variants import VariantSet
-from repro.engine.context import KERNELS, RunContext
+from repro.engine.context import RunContext, check_knobs
 from repro.engine.factory import IndexFactory, IndexPair
 from repro.engine.store import PointStore
-from repro.obs.span import Tracer, resolve_tracer
 from repro.util.errors import SessionClosedError
+from repro.util.tracing import Tracer, resolve_tracer
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from repro.exec.base import BaseExecutor, BatchResult
+    from repro.exec.base import BatchResult
     from repro.exec.cost import CostModel
+    from repro.exec.graph import Executor
     from repro.index.base import SpatialIndex
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
@@ -102,20 +103,21 @@ class Session:
         Work-unit pricing; defaults to the library's calibrated model.
     batch_size / cache_bytes:
         Default epsilon-search engine knobs (see
-        :class:`~repro.exec.base.BaseExecutor`).
+        :class:`~repro.exec.graph.Executor`).
     kernel:
         Default from-scratch clustering kernel, one of
         :data:`~repro.engine.context.KERNELS` (``bfs`` or
         ``cellgraph``); overridable per run.
     regions / part_size:
-        Default spatial partitioning for the sharded executor
+        Default spatial partitioning for shard and hybrid lowering
         (``regions`` fixes the region count, ``part_size`` derives it
-        as ``ceil(n / part_size)``); ignored by the variant-parallel
-        backends.  At most one may be set.
+        as ``ceil(n / part_size)``); ignored by variant lowering.  At
+        most one may be set.
     shard_threshold:
         Default point count at which hybrid lowering fans a
         from-scratch variant out into shard/merge tasks (``None``
-        defers to the backend; ``0`` shards every scratch variant).
+        defers to the executor row; ``0`` shards every scratch
+        variant).
     supervise:
         Session-wide default for the self-healing supervisor
         (:mod:`repro.supervise`): ``True`` enables the default
@@ -158,32 +160,20 @@ class Session:
         self.scheduler = _as_scheduler(scheduler)
         self.reuse_policy = _as_policy(reuse_policy)
         self.cost_model = cost_model
+        check_knobs(
+            kernel=kernel,
+            regions=regions,
+            part_size=part_size,
+            shard_threshold=shard_threshold,
+            batch_size=batch_size,
+            cache_bytes=cache_bytes,
+        )
         self.batch_size = int(batch_size)
         self.cache_bytes = int(cache_bytes)
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}"
-            )
         self.kernel = kernel
-        if regions is not None and part_size is not None:
-            raise ValueError("pass at most one of regions / part_size")
-        self.regions = (
-            check_positive_int(regions, name="regions")
-            if regions is not None
-            else None
-        )
-        self.part_size = (
-            check_positive_int(part_size, name="part_size")
-            if part_size is not None
-            else None
-        )
-        if shard_threshold is not None and int(shard_threshold) < 0:
-            raise ValueError(
-                f"shard_threshold must be >= 0, got {shard_threshold}"
-            )
-        self.shard_threshold = (
-            int(shard_threshold) if shard_threshold is not None else None
-        )
+        self.regions = regions
+        self.part_size = part_size
+        self.shard_threshold = shard_threshold
         from repro.supervise.supervisor import as_supervise_policy
 
         self.supervise = as_supervise_policy(supervise)
@@ -222,37 +212,21 @@ class Session:
         )
 
     # -- execution ------------------------------------------------------
-    def _resolve_executor(
-        self,
-        executor: str | BaseExecutor | type | None,
-        kwargs: dict,
-    ) -> BaseExecutor:
-        from repro.exec import EXECUTORS
-        from repro.exec.base import BaseExecutor
+    def _resolve_executor(self, executor: str | Executor | None) -> Executor:
+        from repro.exec.graph import Executor
 
-        if executor is None:
-            executor = "serial"
-        if isinstance(executor, str):
-            try:
-                cls = EXECUTORS[executor]
-            except KeyError:
-                raise KeyError(
-                    f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-                ) from None
-            return cls(**kwargs)
-        if isinstance(executor, type) and issubclass(executor, BaseExecutor):
-            return executor(**kwargs)
-        if not isinstance(executor, BaseExecutor):
+        if executor is None or isinstance(executor, str):
+            return Executor(executor or "serial")
+        if not isinstance(executor, Executor):
             raise TypeError(
-                f"executor must be a name, BaseExecutor subclass, or instance; "
-                f"got {executor!r}"
+                f"executor must be a name or an Executor; got {executor!r}"
             )
         return executor
 
     def context(
         self,
         *,
-        executor: BaseExecutor | None = None,
+        executor: Executor | None = None,
         scheduler: str | Scheduler | None = None,
         policy: str | ReusePolicy | None = None,
         n_threads: int | None = None,
@@ -281,62 +255,55 @@ class Session:
         if self._closed:
             raise SessionClosedError("Session is closed")
         ex = executor
-        sched = _as_scheduler(scheduler)
-        pol = _as_policy(policy)
-        if ex is not None:
-            sched = sched if sched is not None else ex.scheduler
-            pol = pol if pol is not None else ex.reuse_policy
-            cost_model = cost_model if cost_model is not None else ex.cost_model
-            n_threads = n_threads if n_threads is not None else ex.n_threads
-            low_res_r = low_res_r if low_res_r is not None else ex.low_res_r
-            batch_size = batch_size if batch_size is not None else ex.batch_size
-            cache_bytes = cache_bytes if cache_bytes is not None else ex.cache_bytes
-            kernel = kernel if kernel is not None else ex.kernel
-            if regions is None and part_size is None:
-                regions = ex.regions
-                part_size = ex.part_size
-            if shard_threshold is None:
-                shard_threshold = ex.shard_threshold
-        if ex is not None and getattr(ex, "single_threaded", False):
-            n_threads = 1
-        from repro.core.scheduling import SchedGreedy
+        layers = (ex, self) if ex is not None else (self,)
 
-        sched = sched if sched is not None else (self.scheduler or SchedGreedy())
-        pol = pol if pol is not None else self.reuse_policy
-        cache_bytes = cache_bytes if cache_bytes is not None else self.cache_bytes
-        kernel = kernel if kernel is not None else self.kernel
+        def pick(name: str, value: Any) -> Any:
+            for layer in layers:
+                if value is not None:
+                    break
+                value = getattr(layer, name, None)
+            return value
+
+        sched = pick("scheduler", _as_scheduler(scheduler))
+        pol = pick("reuse_policy", _as_policy(policy))
+        cost_model = pick("cost_model", cost_model)
+        low_res_r = pick("low_res_r", low_res_r)
+        batch_size = pick("batch_size", batch_size)
+        cache_bytes = pick("cache_bytes", cache_bytes)
+        kernel = pick("kernel", kernel)
+        shard_threshold = pick("shard_threshold", shard_threshold)
+        if ex is not None and ex.backend.single_threaded:
+            n_threads = 1
+        n_threads = pick("n_threads", n_threads)
         if regions is not None and part_size is not None:
             raise ValueError("pass at most one of regions / part_size")
-        if regions is None and part_size is None:
-            regions = self.regions
-            part_size = self.part_size
-        if shard_threshold is None:
-            shard_threshold = self.shard_threshold
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}"
-            )
+        for layer in layers:
+            if regions is None and part_size is None:
+                regions, part_size = layer.regions, layer.part_size
+        check_knobs(
+            kernel=kernel,
+            regions=regions,
+            part_size=part_size,
+            shard_threshold=shard_threshold,
+        )
+        from repro.core.scheduling import SchedGreedy
         from repro.supervise.supervisor import as_supervise_policy
 
         if supervise is False:
             sup = None
-        elif supervise is not None:
-            sup = as_supervise_policy(supervise)
-        elif ex is not None and getattr(ex, "supervise", None) is not None:
-            sup = ex.supervise
         else:
-            sup = self.supervise
+            sup = pick("supervise", as_supervise_policy(supervise))
         tracer = resolve_tracer(self.tracer)
         return RunContext(
             store=self.store,
             indexes=self.indexes(low_res_r),
-            scheduler=sched,
+            scheduler=sched if sched is not None else SchedGreedy(),
             reuse_policy=pol,
-            cost_model=cost_model if cost_model is not None else self.cost_model,
+            cost_model=cost_model,
             n_threads=check_positive_int(
                 n_threads if n_threads is not None else 1, name="n_threads"
             ),
-            batch_size=batch_size if batch_size is not None else self.batch_size,
+            batch_size=batch_size,
             cache=(
                 NeighborhoodCache(capacity_bytes=cache_bytes)
                 if cache_bytes and cache_bytes > 0
@@ -359,7 +326,7 @@ class Session:
         self,
         variants: VariantSet,
         *,
-        executor: str | BaseExecutor | type | None = None,
+        executor: str | Executor | None = None,
         scheduler: str | Scheduler | None = None,
         policy: str | ReusePolicy | None = None,
         n_threads: int | None = None,
@@ -379,11 +346,11 @@ class Session:
     ) -> BatchResult:
         """Execute every variant and return the batch result.
 
-        ``executor`` may be a backend name (``serial`` / ``simulated``
-        / ``threads`` / ``processes`` / ``sharded`` / ``hybrid``), a
-        :class:`BaseExecutor`
-        subclass, an already-configured instance, or ``None`` for the
-        serial default.  All other knobs override the session defaults
+        ``executor`` may be a row name of
+        :data:`~repro.exec.graph.EXECUTORS` (``serial`` / ``simulated``
+        / ``threads`` / ``processes`` / ``sharded`` / ``hybrid``), an
+        already-configured :class:`~repro.exec.graph.Executor`, or
+        ``None`` for the serial default.  All other knobs override the session defaults
         for this run only; indexes come from the memoized factory, so
         repeated runs never rebuild them.
 
@@ -408,11 +375,11 @@ class Session:
             raise SessionClosedError("Session is closed")
         if not isinstance(variants, VariantSet):
             variants = VariantSet(variants)
-        ex = self._resolve_executor(executor, {})
+        ex = self._resolve_executor(executor)
         # Only an explicitly-passed instance contributes its own knobs as
         # fallbacks; a freshly-constructed backend defers to the session.
         from_instance = ex is executor
-        if getattr(ex, "single_threaded", False):
+        if ex.backend.single_threaded:
             n_threads = 1
         checkpoint = self._resolve_checkpoint(resume)
         ctx = self.context(

@@ -39,7 +39,7 @@ from repro.engine.shm import (
     release_segment,
 )
 from repro.index.binsort import binsort_order
-from repro.obs.span import Tracer, resolve_tracer
+from repro.util.tracing import Tracer, resolve_tracer
 from repro.util.validation import as_points_array
 
 if TYPE_CHECKING:  # pragma: no cover

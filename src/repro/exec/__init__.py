@@ -1,113 +1,28 @@
-"""Variant-batch executors (the ``parallel for`` of Algorithm 3).
+"""Variant-batch execution (the ``parallel for`` of Algorithm 3).
 
-Pick a backend by what you need:
-
-* :class:`SerialExecutor` — deterministic single worker; the paper's
-  ``T = 1`` reuse study.
-* :class:`SimulatedExecutor` — deterministic work-unit clock with a
-  memory-contention model; regenerates the paper's thread-scaling
-  figures independently of host hardware.
-* :class:`ThreadPoolExecutorBackend` — real shared-memory threads
-  (GIL-limited in CPython; kept for honesty and ablation).
-* :class:`ProcessPoolExecutorBackend` — real processes over statically
-  partitioned reuse chains (genuinely parallel).
-* :class:`ShardedExecutor` — real processes over *spatial regions with
-  eps halos* inside each variant (dislib-style data parallelism);
-  merged labels are byte-identical to the serial kernels.
-* :class:`HybridExecutor` — both axes on one pool: large from-scratch
-  variants shard across regions while other variants' reuse chains run
-  concurrently (task-graph lowering, see :mod:`repro.exec.graph`).
-
-Every backend lowers through the same
-:class:`~repro.exec.graph.GraphRuntime` — a backend is a *lowering
-policy* (which task DAG, which substrate), not a pool implementation.
-
-:func:`run_variants` is the legacy one-call convenience entry point;
-prefer :class:`repro.Session`, which keeps the point store and built
+One class, one table: :class:`Executor` runs a named row of
+:data:`EXECUTORS`, a ``(substrate, mode)`` pair that
+:class:`GraphRuntime` executes in its one dispatch loop (the rows and
+what each buys are documented on :data:`EXECUTORS`).  Run batches
+through :class:`repro.Session`, which keeps the point store and built
 indexes alive across runs (see ``docs/ARCHITECTURE.md``).
 """
 
-import warnings
-
-import numpy as np
-
-from repro.core.variants import VariantSet
-from repro.exec.base import BaseExecutor, BatchResult, IndexPair
+from repro.exec.base import BatchResult
 from repro.exec.calibration import CalibrationSample, collect_samples, fit_cost_model
 from repro.exec.cost import DEFAULT_COST_MODEL, CostModel
-from repro.exec.graph import GraphRuntime
-from repro.exec.hybrid import HybridExecutor
-from repro.exec.procpool import ProcessPoolExecutorBackend
-from repro.exec.serial import SerialExecutor
-from repro.exec.sharded import ShardedExecutor
-from repro.exec.simulated import SimulatedExecutor
-from repro.exec.threadpool import ThreadPoolExecutorBackend
+from repro.exec.graph import EXECUTORS, SUBSTRATES, Backend, Executor, GraphRuntime
 
 __all__ = [
-    "BaseExecutor",
+    "Backend",
     "BatchResult",
-    "IndexPair",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "CalibrationSample",
     "collect_samples",
     "fit_cost_model",
-    "GraphRuntime",
-    "SerialExecutor",
-    "SimulatedExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
-    "ShardedExecutor",
-    "HybridExecutor",
-    "run_variants",
     "EXECUTORS",
+    "Executor",
+    "GraphRuntime",
+    "SUBSTRATES",
 ]
-
-#: Backend registry for lookups by name (benchmarks, examples).
-EXECUTORS: dict[str, type[BaseExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-    SimulatedExecutor.name: SimulatedExecutor,
-    ThreadPoolExecutorBackend.name: ThreadPoolExecutorBackend,
-    ProcessPoolExecutorBackend.name: ProcessPoolExecutorBackend,
-    ShardedExecutor.name: ShardedExecutor,
-    HybridExecutor.name: HybridExecutor,
-}
-
-
-def run_variants(
-    points: np.ndarray,
-    variants: VariantSet,
-    executor: BaseExecutor | None = None,
-    *,
-    dataset: str = "",
-) -> BatchResult:
-    """Cluster every variant of ``variants`` over ``points``.
-
-    .. deprecated::
-        Use :class:`repro.Session` — ``Session(points).run(variants)``
-        — which additionally reuses the point store and built indexes
-        across runs.  This shim routes through a transient session and
-        will be removed in a future release.
-
-    Uses a :class:`SerialExecutor` with the paper's recommended
-    defaults (SCHEDGREEDY + CLUSDENSITY, ``r = 70``) unless an executor
-    is supplied.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import VariantSet, run_variants
-    >>> pts = np.random.default_rng(1).normal(0, 1, (300, 2))
-    >>> batch = run_variants(pts, VariantSet.from_product([0.5, 0.7], [4]))
-    >>> sorted(v.eps for v in batch.results)
-    [0.5, 0.7]
-    """
-    warnings.warn(
-        "run_variants() is deprecated; use repro.Session(points).run(variants)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.engine.session import Session
-
-    with Session(points, dataset=dataset) as session:
-        return session.run(variants, executor=executor)

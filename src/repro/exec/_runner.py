@@ -19,7 +19,7 @@ from repro.engine.context import RunContext
 from repro.index.cellgraph import CellGraphIndex
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import VariantRunRecord
-from repro.obs.span import resolve_tracer
+from repro.util.tracing import resolve_tracer
 
 __all__ = ["execute_variant"]
 

@@ -2,7 +2,7 @@
 
 The clustering kernels and executors are instrumented with
 :class:`Span` contexts and :class:`PhaseClock` partition timers (see
-:mod:`repro.obs.span`); a :class:`MetricsRegistry` unifies the span
+:mod:`repro.util.tracing`); a :class:`MetricsRegistry` unifies the span
 timings with the deterministic work counters and neighborhood-cache
 statistics, and exports Chrome-trace and JSONL formats
 (:mod:`repro.obs.export`).
@@ -13,20 +13,22 @@ either by installing a tracer globally::
     from repro.obs import Tracer, use_tracer, MetricsRegistry
 
     tracer = Tracer()
-    with use_tracer(tracer):
-        batch = executor.run(points, variants)
+    with use_tracer(tracer), Session(points) as session:
+        batch = session.run(variants)
     registry = MetricsRegistry.from_batch(batch, tracer)
     registry.to_jsonl("run.trace.jsonl")
 
-or by passing ``tracer=`` to an executor / kernel explicitly.  The
+or by passing ``tracer=`` to a :class:`~repro.Session` / kernel
+explicitly.  The
 ``repro trace`` CLI subcommand wraps the whole flow.
 """
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import (
+from repro.util.tracing import (
     NULL_TRACER,
     NullTracer,
     PHASE_PREFIX,
+    SPAN_TASK,
     PhaseClock,
     Span,
     SpanRecord,
@@ -45,6 +47,7 @@ __all__ = [
     "SpanRecord",
     "PhaseClock",
     "PHASE_PREFIX",
+    "SPAN_TASK",
     "MetricsRegistry",
     "get_tracer",
     "set_tracer",

@@ -9,7 +9,7 @@ to the original.  Line types:
 ``meta``
     Batch configuration labels (exactly one line, first).
 ``span``
-    One :class:`~repro.obs.span.SpanRecord` (wall span, ``phase:*``
+    One :class:`~repro.util.tracing.SpanRecord` (wall span, ``phase:*``
     total, or instant event): ``name``, ``t0``, ``dur``, ``thread``,
     ``args``.
 ``variant``
@@ -20,7 +20,7 @@ to the original.  Line types:
 The Chrome trace export targets ``chrome://tracing`` / Perfetto:
 complete (``"ph": "X"``) events in microseconds, one track per worker
 thread, instant (``"ph": "i"``) events for evictions and one-off
-stats.  It is a *view*, not an interchange format — phase totals from
+stats, and a separate process track for spans on the modeled clock.  It is a *view*, not an interchange format — phase totals from
 an accumulating clock are rendered as one block at the phase's first
 entry, so overlapping blocks on a track mean interleaved phases, not
 double-counted time.
@@ -33,9 +33,9 @@ from pathlib import Path
 
 from repro.metrics.counters import WorkCounters
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import SpanRecord
+from repro.util.tracing import SpanRecord
 
-__all__ = ["write_jsonl", "read_jsonl", "write_chrome_trace"]
+__all__ = ["CHROME_PIDS", "write_jsonl", "read_jsonl", "write_chrome_trace"]
 
 PathLike = str | Path
 
@@ -89,24 +89,39 @@ def read_jsonl(path: PathLike) -> MetricsRegistry:
     return reg
 
 
+#: Chrome-trace process tracks: spans on the modeled work-unit clock
+#: (``args["clock"] == "modeled"``) never share a track with seconds.
+CHROME_PIDS = {"wall": 0, "modeled": 1}
+
+
 def write_chrome_trace(path: PathLike, registry: MetricsRegistry) -> None:
-    """Render ``registry`` as a Chrome trace-event JSON file."""
+    """Render ``registry`` as a Chrome trace-event JSON file.
+
+    Wall spans go to process 0; spans on the modeled clock (the ``sim``
+    substrate's ``task`` spans, whose ``dur`` is in work units) go to
+    process 1, rebased separately, so neither timeline distorts the
+    other.
+    """
     events: list[dict] = []
-    threads: dict[str, int] = {}
+    threads: dict[tuple[int, str], int] = {}
 
-    def tid(thread: str) -> int:
-        if thread not in threads:
-            threads[thread] = len(threads)
-        return threads[thread]
+    def pid_of(s: SpanRecord) -> int:
+        return CHROME_PIDS["modeled" if s.args.get("clock") == "modeled" else "wall"]
 
-    # Rebase onto the earliest timestamp so the viewer opens at t = 0.
-    t_base = min((s.t0 for s in registry.spans), default=0.0)
+    # Rebase each clock onto its earliest timestamp so the viewer opens
+    # at t = 0.
+    t_base: dict[int, float] = {}
     for s in registry.spans:
+        pid = pid_of(s)
+        t_base[pid] = min(t_base.get(pid, s.t0), s.t0)
+    for s in registry.spans:
+        pid = pid_of(s)
+        tid = threads.setdefault((pid, s.thread), len(threads))
         event = {
             "name": s.name,
-            "pid": 0,
-            "tid": tid(s.thread),
-            "ts": (s.t0 - t_base) * 1e6,
+            "pid": pid,
+            "tid": tid,
+            "ts": (s.t0 - t_base[pid]) * 1e6,
             "args": s.args,
         }
         if s.dur > 0.0:
@@ -116,16 +131,17 @@ def write_chrome_trace(path: PathLike, registry: MetricsRegistry) -> None:
             event["ph"] = "i"
             event["s"] = "t"
         events.append(event)
-    for thread, t in threads.items():
+    for (pid, thread), t in threads.items():
         events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": t,
-                "args": {"name": thread},
-            }
+            {"name": "thread_name", "ph": "M", "pid": pid, "tid": t,
+             "args": {"name": thread}}
         )
+    for clock, pid in CHROME_PIDS.items():
+        if pid in t_base:
+            events.append(
+                {"name": "process_name", "ph": "M", "pid": pid,
+                 "args": {"name": f"{clock} clock"}}
+            )
     doc = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -4,7 +4,7 @@ A clustering batch already yields three disjoint kinds of telemetry:
 
 * **work counters** (:class:`~repro.metrics.counters.WorkCounters`) —
   deterministic operation tallies per variant;
-* **span / phase records** (:mod:`repro.obs.span`) — wall-clock
+* **span / phase records** (:mod:`repro.util.tracing`) — wall-clock
   attribution of where the time went;
 * **cache statistics** (:class:`~repro.core.neighcache.CacheStats`) —
   hit/miss/eviction rates of the per-eps neighborhood cache.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.metrics.counters import WorkCounters
-from repro.obs.span import PHASE_PREFIX, SpanRecord, Tracer
+from repro.util.tracing import PHASE_PREFIX, SpanRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids exec import cycle
     from repro.exec.base import BatchResult

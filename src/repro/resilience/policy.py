@@ -11,9 +11,9 @@ backends: an attempt's wall time is measured around the variant kernel
 (and injected hangs poll the deadline while sleeping), so a deadline
 violation is detected at the next check point rather than preempting
 arbitrary Python code.  Genuine runaway hangs are the CI watchdog's job
-(``pytest-timeout``) and, for the process backend, the parent-side
-group budget that terminates and respawns a wedged worker (see
-:mod:`repro.exec.procpool`).
+(``pytest-timeout``) and, on the process lanes, the parent-side job
+budget that terminates and respawns a wedged worker (see
+:mod:`repro.exec.graph`).
 """
 
 from __future__ import annotations

@@ -39,11 +39,11 @@ from repro.core.scheduling import CompletedRegistry, PlannedVariant, dependency_
 from repro.core.variants import VariantSet
 from repro.exec._runner import execute_variant
 from repro.metrics.records import VariantRunRecord
-from repro.obs.span import resolve_tracer
 from repro.resilience.faults import verify_result
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus
 from repro.util.errors import VariantTimeoutError
+from repro.util.tracing import resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.result import ClusteringResult
@@ -303,14 +303,19 @@ class ResilientRunner:
         with self._lock:
             self._outcomes.update(report.outcomes)
 
-    def mark_degraded(
-        self, variant, label: str, *, attempts: int, error: str | None = None
+    def mark_done(
+        self,
+        variant,
+        *,
+        attempts: int,
+        error: str | None = None,
+        degraded: str | None = None,
     ) -> None:
-        """Record a variant completed by stepping down the ladder.
+        """Record a variant the runtime completed outside :meth:`execute`.
 
-        ``label`` is the ladder-step label (e.g. ``substrate:lanes→serial``)
-        the supervisor applied; the variant still counts as ``retried``
-        because it needed more than one submission to finish.
+        ``retried`` when it took more than one attempt.  ``degraded`` is
+        the ladder-step label (e.g. ``substrate:lanes→serial``) when the
+        supervisor stepped the variant down to finish it.
         """
         with self._lock:
             self._outcomes[variant] = VariantOutcome(
@@ -318,7 +323,7 @@ class ResilientRunner:
                 VariantStatus.RETRIED if attempts > 1 else VariantStatus.OK,
                 attempts=attempts,
                 error=error,
-                degraded=label,
+                degraded=degraded,
             )
 
     def mark_failed_group(self, variants, error: str, attempts: int = 1) -> None:

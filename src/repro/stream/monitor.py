@@ -121,9 +121,10 @@ class VariantMonitor:
         if self._epoch >= 0:
             raise ValidationError("baseline() must precede the first observe()")
         backlog = as_points_array(backlog)
-        from repro.exec.serial import SerialExecutor
+        from repro.engine.session import Session
 
-        batch = SerialExecutor().run(backlog, self.variants)
+        with Session(backlog) as session:
+            batch = session.run(self.variants)
         for state in self._states.values():
             state.insert(backlog)
         self._epoch += 1

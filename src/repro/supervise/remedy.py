@@ -297,7 +297,7 @@ class Verifier:
     """
 
     def __init__(self, tracer=None) -> None:
-        from repro.obs.span import resolve_tracer
+        from repro.util.tracing import resolve_tracer
 
         self._tracer = resolve_tracer(tracer)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.obs.span import resolve_tracer
 from repro.resilience.audit import scan_segments, unlink_segment
 from repro.supervise.ladder import CircuitBreaker, DegradationLadder, LadderStep
 from repro.supervise.remedy import (
@@ -48,6 +47,7 @@ from repro.supervise.remedy import (
 )
 from repro.supervise.signals import HealthMonitor, HeartbeatMailbox
 from repro.util.errors import ValidationError
+from repro.util.tracing import resolve_tracer
 
 __all__ = ["SupervisePolicy", "Supervisor", "as_supervise_policy"]
 

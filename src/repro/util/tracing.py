@@ -29,16 +29,15 @@ uninstrumented run pays one no-op method call per *phase boundary*
 (thousands per run, not millions) and allocates nothing.
 
 Thread-safety: a single :class:`Tracer` may be shared by every worker
-of the thread backend — record emission appends under a lock, and span
-nesting state lives in ``threading.local``.  Process workers build
-their own tracer and ship their records back for merging (see
-:mod:`repro.exec.procpool`).
+of the threads substrate — record emission appends under a lock.
+Process workers build their own tracer and ship their records back for
+merging (see :mod:`repro.exec.graph`).
 
 Layering: this module lives in :mod:`repro.util` (stdlib-only, the
 bottom layer) so the clustering kernels in :mod:`repro.core` can emit
 phases without importing the observability subsystem; the public
-surface stays re-exported as :mod:`repro.obs.span`, where the
-registry/export machinery builds on it.
+surface is re-exported by :mod:`repro.obs`, where the registry/export
+machinery builds on it.
 """
 
 from __future__ import annotations
@@ -61,12 +60,21 @@ __all__ = [
     "use_tracer",
     "resolve_tracer",
     "PHASE_PREFIX",
+    "SPAN_TASK",
 ]
 
 #: Records whose name starts with this prefix are per-phase time
 #: totals emitted by a :class:`PhaseClock`; everything else is a wall
 #: span or an instant event.
 PHASE_PREFIX = "phase:"
+
+#: Span name carrying task identity in the task-graph runtime: every
+#: record has ``args = {"kind", "id", "deps", "soft", "clock"}`` naming
+#: the :mod:`repro.core.taskgraph` node it executed (``kind`` one of
+#: ``variant`` / ``shard`` / ``merge``) and the clock of ``t0``/``dur``:
+#: ``"modeled"`` work units on the ``sim`` substrate, ``"wall"``
+#: seconds everywhere else.
+SPAN_TASK = "task"
 
 
 @dataclass

@@ -10,6 +10,7 @@ exact gate CI runs via ``repro check --strict``.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def rule_ids(report):
 class TestLayeringRule:
     def test_core_importing_exec_is_flagged(self):
         report = check(
-            {"repro.core.widget": "from repro.exec.base import BaseExecutor\n"},
+            {"repro.core.widget": "from repro.exec.base import BatchResult\n"},
             [LayeringRule],
         )
         assert rule_ids(report) == ["layering"]
@@ -74,7 +75,7 @@ class TestLayeringRule:
                     "from repro.metrics.counters import WorkCounters\n"
                 ),
                 "repro.util.helper": "from repro.util.errors import ValidationError\n",
-                "repro.engine.thing": "from repro.exec.base import BaseExecutor\n",
+                "repro.engine.thing": "from repro.exec.base import BatchResult\n",
             },
             [LayeringRule],
         )
@@ -269,155 +270,134 @@ class TestWallclockDisciplineRule:
 # executor-contract
 # ---------------------------------------------------------------------------
 
-_BASE_MODULE = """
-import abc
+_SRC = Path(analysis.__file__).resolve().parents[2]
 
-class BaseExecutor(abc.ABC):
-    def make_context(self, store, indexes, *, dataset=""):
-        pass
-
-    def run(self, points, variants, *, indexes=None, dataset=""):
-        pass
-
-    def run_context(self, ctx, variants):
-        pass
-
-    @abc.abstractmethod
-    def _run(self, ctx, variants):
-        pass
-"""
+#: The shipped modules the rule reads, as a seeded-mutation baseline.
+_CONTRACT_MODULES = (
+    "repro.exec",
+    "repro.exec.base",
+    "repro.exec.graph",
+    "repro.exec.cost",
+    "repro.core.taskgraph",
+    "repro.supervise.signals",
+    "repro.supervise.remedy",
+)
 
 
-def _backend(name, run_body="        return GraphRuntime(\"sim\").run(ctx, variants)\n",
-             run_sig="self, ctx, variants", extra=""):
-    return (
-        "from repro.exec.base import BaseExecutor\n"
-        "from repro.exec.graph import GraphRuntime\n\n"
-        f"class {name}(BaseExecutor):\n"
-        f"    name = \"{name.lower()}\"\n\n"
-        f"    def _run({run_sig}):\n"
-        f"{run_body}"
-        f"{extra}"
-    )
-
-
-def _registry(*class_names):
-    imports = "".join(
-        f"from repro.exec.mod{i} import {cls}\n"
-        for i, cls in enumerate(class_names)
-    )
-    entries = ", ".join(f"{cls}.name: {cls}" for cls in class_names)
-    return imports + f"EXECUTORS = {{{entries}}}\n"
-
-
-def _project(*class_names, **overrides):
-    sources = {"repro.exec.base": _BASE_MODULE, "repro.exec": _registry(*class_names)}
-    for i, cls in enumerate(class_names):
-        sources[f"repro.exec.mod{i}"] = overrides.get(cls, _backend(cls))
+def _shipped() -> dict[str, str]:
+    sources = {}
+    for module in _CONTRACT_MODULES:
+        path = _SRC.joinpath(*module.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        sources[module] = path.read_text()
     return sources
+
+
+def _mutated(module: str, old: str, new: str) -> dict[str, str]:
+    """The shipped sources with one seeded mutation in ``module``."""
+    sources = _shipped()
+    assert sources[module].count(old) == 1, old
+    sources[module] = sources[module].replace(old, new)
+    return sources
+
+
+_HYBRID_ROW = '"hybrid": Backend("lanes", "hybrid"),'
+_HOOK_DEF = "    def run_context(self, ctx: RunContext, variants: VariantSet)"
+_SECOND_CLASS = (
+    "from repro.exec.graph import Executor\n\n"
+    "class ShadowExecutor(Executor):{pragma}\n"
+    "    pass\n"
+)
 
 
 class TestExecutorContractRule:
     def test_conforming_backends_are_clean(self):
-        report = check(_project("Alpha", "Beta"), [ExecutorContractRule])
+        report = check(_shipped(), [ExecutorContractRule])
         assert report.findings == []
 
     def test_wrong_run_signature_is_flagged(self):
-        bad = _backend("Alpha", run_sig="self, ctx, variants, extra")
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
+        sources = _mutated(
+            "repro.exec.graph", _HOOK_DEF, _HOOK_DEF.replace("variants", "variants, extra")
+        )
+        report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
         assert "signature" in report.findings[0].message
 
     def test_missing_graph_runtime_is_flagged(self):
-        bad = _backend("Alpha", run_body="        return None\n")
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
+        sources = _mutated(
+            "repro.exec.graph",
+            "result = GraphRuntime(self.backend.substrate).run(",
+            "result = _bypass(",
+        )
+        report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
         assert "GraphRuntime" in report.findings[0].message
         assert "FaultPlan" in report.findings[0].message
 
     def test_private_pool_spawn_is_flagged(self):
-        sources = _project("Alpha")
-        sources["repro.exec.mod0"] = _backend(
-            "Alpha",
-            extra=(
-                "\nfrom concurrent.futures import ProcessPoolExecutor\n"
-                "POOL = ProcessPoolExecutor(max_workers=2)\n"
-            ),
+        sources = _shipped()
+        sources["repro.exec.cost"] += (
+            "\nfrom concurrent.futures import ProcessPoolExecutor\n"
+            "POOL = ProcessPoolExecutor(max_workers=2)\n"
         )
         report = check(sources, [ExecutorContractRule])
-        assert rule_ids(report) == ["executor-contract", "executor-contract"]
-        assert all("spawns workers" in f.message for f in report.findings)
+        assert rule_ids(report) == ["executor-contract"]
+        assert "spawns workers" in report.findings[0].message
 
     def test_runtime_module_may_spawn_pools(self):
-        sources = _project("Alpha")
-        sources["repro.exec.graph"] = (
-            "import threading\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class GraphRuntime:\n"
-            "    def spawn(self):\n"
-            "        threading.Thread(target=print).start()\n"
-            "        return ProcessPoolExecutor(max_workers=1)\n"
-        )
+        sources = _shipped()
+        assert "ProcessPoolExecutor(max_workers=1)" in sources["repro.exec.graph"]
+        assert "threading.Thread(" in sources["repro.exec.graph"]
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
 
     def test_missing_run_hook_is_flagged(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "class Alpha(BaseExecutor):\n"
-            "    name = \"alpha\"\n"
-        )
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
-        assert any("_run" in f.message for f in report.findings)
-
-    def test_missing_name_attr_is_flagged(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "from repro.exec.graph import GraphRuntime\n"
-            "class Alpha(BaseExecutor):\n"
-            "    def _run(self, ctx, variants):\n"
-            "        return GraphRuntime(\"sim\").run(ctx, variants)\n"
-        )
-        sources = _project("Alpha", Alpha=bad)
-        sources["repro.exec"] = (
-            "from repro.exec.mod0 import Alpha\n"
-            "EXECUTORS = {\"alpha\": Alpha}\n"
+        sources = _mutated(
+            "repro.exec.graph", _HOOK_DEF, _HOOK_DEF.replace("run_context", "go")
         )
         report = check(sources, [ExecutorContractRule])
-        assert any("'name'" in f.message for f in report.findings)
+        assert rule_ids(report) == ["executor-contract"]
+        assert "run_context" in report.findings[0].message
+
+    def test_unknown_substrate_in_row_is_flagged(self):
+        sources = _mutated(
+            "repro.exec.graph", _HYBRID_ROW, _HYBRID_ROW.replace('"lanes"', '"gpu"')
+        )
+        report = check(sources, [ExecutorContractRule])
+        assert rule_ids(report) == ["executor-contract"]
+        assert "substrate 'gpu'" in report.findings[0].message
+
+    def test_unknown_mode_in_row_is_flagged(self):
+        sources = _mutated(
+            "repro.exec.graph",
+            _HYBRID_ROW,
+            _HYBRID_ROW.replace('"hybrid")', '"diagonal")'),
+        )
+        report = check(sources, [ExecutorContractRule])
+        assert rule_ids(report) == ["executor-contract"]
+        assert "lowering mode 'diagonal'" in report.findings[0].message
 
     def test_unregistered_backend_is_flagged(self):
-        sources = _project("Alpha")
-        sources["repro.exec.mod9"] = _backend("Ghost")
+        """A backend written as a class, not a table row: a second
+        executor class."""
+        sources = _shipped()
+        sources["repro.exec.shadow"] = _SECOND_CLASS.format(pragma="")
         report = check(sources, [ExecutorContractRule])
-        assert any("not registered" in f.message for f in report.findings)
-
-    def test_hook_override_with_drifted_signature_is_flagged(self):
-        drifted = _backend(
-            "Alpha",
-            extra="\n    def run_context(self, ctx, variants, extra=None):\n        pass\n",
-        )
-        report = check(_project("Alpha", Alpha=drifted), [ExecutorContractRule])
-        assert any("run_context" in f.message for f in report.findings)
+        assert rule_ids(report) == ["executor-contract"]
+        assert "second executor class ShadowExecutor" in report.findings[0].message
 
     def test_pragma_on_class_line_suppresses(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "class Alpha(BaseExecutor):  # repro: allow[executor-contract]\n"
-            "    name = \"alpha\"\n"
+        sources = _shipped()
+        sources["repro.exec.shadow"] = _SECOND_CLASS.format(
+            pragma="  # repro: allow[executor-contract]"
         )
-        sources = {
-            "repro.exec.base": _BASE_MODULE,
-            "repro.exec": "from repro.exec.mod0 import Alpha\nEXECUTORS = {Alpha.name: Alpha}\n",
-            "repro.exec.mod0": bad,
-        }
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
         assert report.suppressed >= 1
 
     # -- supervision discipline ---------------------------------------
     def test_rogue_heartbeat_emitter_is_flagged(self):
-        sources = _project("Alpha")
+        sources = _shipped()
         sources["repro.engine.rogue"] = (
             "from repro.supervise.signals import worker_pulse\n"
             "pulse = worker_pulse(None)\n"
@@ -428,23 +408,14 @@ class TestExecutorContractRule:
         assert "repro.exec.graph" in report.findings[0].message
 
     def test_runtime_and_signals_may_emit_heartbeats(self):
-        sources = _project("Alpha")
-        sources["repro.exec.graph"] = (
-            "from repro.supervise.signals import worker_pulse\n"
-            "class GraphRuntime:\n"
-            "    def go(self, handle):\n"
-            "        return worker_pulse(handle)\n"
-        )
-        sources["repro.supervise.signals"] = (
-            "def worker_pulse(handle):\n"
-            "    return None\n"
-            "PULSE = worker_pulse(None)\n"
-        )
+        sources = _shipped()
+        assert "hb = worker_pulse(pulse)" in sources["repro.exec.graph"]
+        sources["repro.supervise.signals"] += "PULSE = worker_pulse(None)\n"
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
 
     def test_adhoc_action_construction_is_flagged(self):
-        sources = _project("Alpha")
+        sources = _shipped()
         sources["repro.resilience.rogue"] = (
             "from repro.supervise.remedy import Action\n"
             "FIX = Action('degrade', target='group:g0')\n"
@@ -455,7 +426,7 @@ class TestExecutorContractRule:
         assert "repro.supervise.remedy" in report.findings[0].message
 
     def test_proposer_registry_may_construct_actions(self):
-        sources = _project("Alpha")
+        sources = _shipped()
         sources["repro.supervise.remedy"] = (
             "class Action:\n"
             "    def __init__(self, kind, target=''):\n"

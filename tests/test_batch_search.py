@@ -22,13 +22,14 @@ from repro.core.neighcache import NeighborhoodCache
 from repro.core.scheduling import SchedMinpts
 from repro.core.variant_dbscan import variant_dbscan
 from repro.core.variants import Variant, VariantSet
-from repro.exec.serial import SerialExecutor
+from repro.exec import Executor
 from repro.index.brute import BruteForceIndex
 from repro.index.grid import UniformGridIndex
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.metrics.counters import WorkCounters
 from repro.util.rng import resolve_rng
+from tests.helpers import run_batch
 
 R_VALUES = [1, 8, 70]
 
@@ -186,10 +187,12 @@ class TestBatchedClusteringParity:
     def test_cached_executor_identical_labels(self, two_blobs):
         """Cached vs uncached VariantDBSCAN batches agree label-for-label."""
         vset = VariantSet.from_product([0.5, 0.6, 0.8], [4, 6])
-        plain = SerialExecutor(scheduler=SchedMinpts()).run(two_blobs, vset)
-        cached = SerialExecutor(
-            scheduler=SchedMinpts(), cache_bytes=64 << 20
-        ).run(two_blobs, vset)
+        plain = run_batch(Executor("serial", scheduler=SchedMinpts()), two_blobs, vset)
+        cached = run_batch(
+            Executor("serial", scheduler=SchedMinpts(), cache_bytes=64 << 20),
+            two_blobs,
+            vset,
+        )
         for v in vset:
             np.testing.assert_array_equal(cached[v].labels, plain[v].labels)
             np.testing.assert_array_equal(cached[v].core_mask, plain[v].core_mask)

@@ -392,10 +392,10 @@ def test_kernel_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError, match="unknown kernel"):
         Session(pts, kernel="quantum")
-    from repro.exec.serial import SerialExecutor
+    from repro.exec import Executor
 
     with pytest.raises(ValueError, match="unknown kernel"):
-        SerialExecutor(kernel="quantum")
+        Executor("serial", kernel="quantum")
 
 
 def test_session_run_kernel_override(two_blobs):

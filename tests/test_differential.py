@@ -19,9 +19,10 @@ from repro.core.result import ClusteringResult
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.variants import VariantSet
-from repro.exec.serial import SerialExecutor
+from repro.exec import Executor
 from repro.index.rtree import RTree
 from repro.metrics.quality import quality_score
+from tests.helpers import run_batch
 
 QUALITY_BAR = 0.998
 
@@ -45,11 +46,12 @@ def oracle(cloud):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 def test_quality_vs_plain_dbscan(cloud, oracle, scheduler_name, policy_name):
-    executor = SerialExecutor(
+    executor = Executor(
+        "serial",
         scheduler=SCHEDULERS[scheduler_name],
         reuse_policy=POLICIES[policy_name],
     )
-    batch = executor.run(cloud, VARIANTS)
+    batch = run_batch(executor, cloud, VARIANTS)
     reused = [r for r in batch.record.records if r.reused_from is not None]
     assert reused, "expected at least one variant to reuse results"
     for v in VARIANTS:

@@ -35,9 +35,10 @@ from repro.engine import (
     share_index_pair,
 )
 from repro.engine.shm import attach_arrays, pack_arrays
-from repro.exec import SerialExecutor, SimulatedExecutor
+from repro.exec import Executor
 from repro.exec.cost import CostModel
-from repro.exec.procpool import partition_reuse_chains
+from repro.exec.graph import partition_reuse_chains
+from tests.helpers import run_batch
 
 
 def _repro_segments() -> set[str]:
@@ -231,13 +232,12 @@ class TestSharedIndexPair:
 # ----------------------------------------------------------------------
 class TestRunContext:
     def test_frozen_and_with(self, points):
-        ex = SerialExecutor()
-        store = PointStore.from_points(points)
-        ctx = ex.make_context(store, IndexFactory().index_pair(store, 16))
-        with pytest.raises(AttributeError):
-            ctx.n_threads = 5
-        assert ctx.with_(n_threads=5).n_threads == 5
-        assert ctx.points is store.points
+        with Session(points, low_res_r=16) as session:
+            ctx = session.context(executor=Executor("serial"))
+            with pytest.raises(AttributeError):
+                ctx.n_threads = 5
+            assert ctx.with_(n_threads=5).n_threads == 5
+            assert ctx.points is session.store.points
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +245,7 @@ class TestRunContext:
 # ----------------------------------------------------------------------
 class TestSession:
     def test_run_matches_direct_serial(self, points):
-        direct = SerialExecutor().run(points, VSET)
+        direct = run_batch(Executor("serial"), points, VSET)
         with Session(points, dataset="unit") as session:
             batch = session.run(VSET)
         assert set(batch.results) == set(VSET)
@@ -265,8 +265,9 @@ class TestSession:
     def test_executor_resolution_forms(self, points):
         with Session(points) as session:
             assert session.run(VSET, executor="simulated").record.executor == "simulated"
-            assert session.run(VSET, executor=SimulatedExecutor).record.executor == "simulated"
-            inst = SimulatedExecutor(n_threads=3, scheduler=SchedMinpts())
+            fresh = Executor("simulated")
+            assert session.run(VSET, executor=fresh).record.executor == "simulated"
+            inst = Executor("simulated", n_threads=3, scheduler=SchedMinpts())
             rec = session.run(VSET, executor=inst).record
             assert rec.executor == "simulated"
             assert rec.n_threads == 3  # instance knobs are the fallback
@@ -312,11 +313,9 @@ class TestSession:
             assert set(batch.results) == set(VSET)
         assert _repro_segments() == before
 
-    def test_compat_run_cleans_transient_store(self, points):
-        from repro.exec import ProcessPoolExecutorBackend
-
+    def test_transient_session_cleans_store(self, points):
         before = _repro_segments()
-        batch = ProcessPoolExecutorBackend(n_threads=2).run(points, VSET)
+        batch = run_batch(Executor("processes", n_threads=2), points, VSET)
         assert set(batch.results) == set(VSET)
         assert _repro_segments() == before
 
@@ -336,13 +335,18 @@ class TestShmLifecycleOnFailure:
                 session.run(VSET, executor="processes", n_threads=2)
         assert _repro_segments() == before
 
-    def test_failed_compat_run_leaks_nothing(self, points):
-        from repro.exec import ProcessPoolExecutorBackend
+    def test_failed_threads_run_raises(self, points):
+        # Plain runs propagate kernel errors on every substrate,
+        # in-process thread workers included.
+        with Session(points, cost_model=_ExplodingCostModel()) as session:
+            with pytest.raises(RuntimeError, match="exploding cost model"):
+                session.run(VSET, executor="threads", n_threads=2)
 
+    def test_failed_executor_instance_run_leaks_nothing(self, points):
         before = _repro_segments()
-        ex = ProcessPoolExecutorBackend(n_threads=2, cost_model=_ExplodingCostModel())
+        ex = Executor("processes", n_threads=2, cost_model=_ExplodingCostModel())
         with pytest.raises(RuntimeError, match="exploding cost model"):
-            ex.run(points, VSET)
+            run_batch(ex, points, VSET)
         assert _repro_segments() == before
 
 

@@ -24,9 +24,9 @@ from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.taskgraph import lower_variants
 from repro.engine.context import KERNELS
-from repro.exec.graph import EVENT_SHARD_PLAN
-from repro.obs.span import SPAN_TASK, Tracer
+from repro.exec.graph import EVENT_SHARD_PLAN, GraphRuntime
 from repro.util.rng import resolve_rng
+from repro.util.tracing import SPAN_TASK, Tracer
 
 VSET = VariantSet.from_product([0.4, 0.5, 0.6], [4, 6])
 
@@ -292,3 +292,35 @@ class TestSimulatedModeSelection:
             )
         assert self._shard_plan_events(tracer) == []
         assert_canonical_equal(batch, baseline)
+
+
+# ----------------------------------------------------------------------
+# One dispatch loop: every substrate takes every lowering
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["shard", "hybrid"])
+def test_threads_substrate_runs_sharded_lowerings(points, baseline, mode):
+    """No executor row asks for it, but the shared loop runs shard and
+    hybrid graphs on the threads substrate too, byte-equal up to ids."""
+    with Session(points, regions=2, shard_threshold=0) as s:
+        ctx = s.context(n_threads=2)
+        batch = GraphRuntime("threads").run(ctx, VSET, mode=mode)
+    assert set(batch.results) == set(VSET)
+    assert_canonical_equal(batch, baseline)
+
+
+def test_sim_substrate_fires_merge_faults(points, baseline):
+    """Merge-phase faults are handled by the shared loop on every
+    substrate, so a corrupt merge on the modeled clock is retried."""
+    sharded, _ = _hybrid_partition(points)
+    victim = sorted(sharded, key=lambda v: v.as_tuple())[0]
+    index = [i for i, v in enumerate(VSET) if v == victim][0]
+    with Session(points) as s:
+        batch = s.run(
+            VSET, executor="simulated", n_threads=2, regions=2,
+            shard_threshold=0,
+            fault_plan=FaultPlan([FaultSpec("corrupt", index, phase="finish")]),
+            retry_policy=RetryPolicy(max_retries=1),
+        )
+    assert batch.report is not None
+    assert victim in batch.report.retried
+    assert_canonical_equal(batch, baseline)

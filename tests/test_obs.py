@@ -13,15 +13,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.traces import check_traces
 from repro.cli import main
 from repro.core.dbscan import dbscan
 from repro.core.variants import VariantSet
-from repro.exec.procpool import ProcessPoolExecutorBackend
-from repro.exec.serial import SerialExecutor
-from repro.exec.simulated import SimulatedExecutor
-from repro.exec.threadpool import ThreadPoolExecutorBackend
+from repro.exec import Executor
 from repro.obs import (
     PHASE_PREFIX,
+    SPAN_TASK,
     MetricsRegistry,
     NULL_TRACER,
     NullTracer,
@@ -31,6 +30,8 @@ from repro.obs import (
     resolve_tracer,
     use_tracer,
 )
+from repro.obs.export import CHROME_PIDS
+from tests.helpers import run_batch
 
 VARIANTS = VariantSet.from_product([0.5, 0.7], [4, 8])
 
@@ -141,10 +142,10 @@ class TestKernelInstrumentation:
     # *structure* (quality metric) but not on label ids.
     "make, deterministic",
     [
-        (lambda: SerialExecutor(), True),
-        (lambda: SimulatedExecutor(n_threads=2), True),
-        (lambda: ThreadPoolExecutorBackend(n_threads=2), False),
-        (lambda: ProcessPoolExecutorBackend(n_threads=2), True),
+        (lambda: Executor("serial"), True),
+        (lambda: Executor("simulated", n_threads=2), True),
+        (lambda: Executor("threads", n_threads=2), False),
+        (lambda: Executor("processes", n_threads=2), True),
     ],
     ids=["serial", "simulated", "threads", "processes"],
 )
@@ -152,7 +153,7 @@ class TestExecutorTracing:
     def test_phases_cover_wall_clock(self, cloud, make, deterministic):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = make().run(cloud, VARIANTS)
+            batch = run_batch(make(), cloud, VARIANTS)
         registry = MetricsRegistry.from_batch(batch, tracer)
         coverage = registry.phase_coverage()
         assert set(coverage) == {str(v) for v in VARIANTS}
@@ -164,7 +165,7 @@ class TestExecutorTracing:
     def test_variant_spans_present(self, cloud, make, deterministic):
         tracer = Tracer()
         with use_tracer(tracer):
-            make().run(cloud, VARIANTS)
+            run_batch(make(), cloud, VARIANTS)
         walls = [r for r in tracer.records() if r.name == "variant"]
         assert sorted(r.args["variant"] for r in walls) == sorted(
             str(v) for v in VARIANTS
@@ -175,9 +176,9 @@ class TestExecutorTracing:
     ):
         from repro.metrics.quality import quality_score
 
-        plain = make().run(cloud, VARIANTS)
+        plain = run_batch(make(), cloud, VARIANTS)
         with use_tracer(Tracer()):
-            traced = make().run(cloud, VARIANTS)
+            traced = run_batch(make(), cloud, VARIANTS)
         for v in VARIANTS:
             if deterministic:
                 assert np.array_equal(
@@ -192,8 +193,9 @@ class TestRegistry:
     def traced_batch(self, cloud):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = SerialExecutor(cache_bytes=1 << 20).run(
-                cloud, VARIANTS, dataset="two_blobs"
+            batch = run_batch(
+                Executor("serial", cache_bytes=1 << 20),
+                cloud, VARIANTS, dataset="two_blobs",
             )
         return batch, tracer
 
@@ -241,8 +243,9 @@ class TestExport:
     def registry(self, cloud):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = SerialExecutor(cache_bytes=1 << 20).run(
-                cloud, VARIANTS, dataset="two_blobs"
+            batch = run_batch(
+                Executor("serial", cache_bytes=1 << 20),
+                cloud, VARIANTS, dataset="two_blobs",
             )
         return MetricsRegistry.from_batch(batch, tracer)
 
@@ -276,6 +279,61 @@ class TestExport:
         assert min(starts) >= 0.0  # rebased onto the earliest timestamp
         names = {e["args"]["name"] for e in events if e["ph"] == "M"}
         assert names  # worker tracks labeled
+
+
+class TestTaskSpanClocks:
+    """Every ``task`` span names its clock; exports keep clocks apart."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, cloud):
+        out = {}
+        for name in ("serial", "processes"):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                batch = run_batch(name, cloud, VARIANTS, n_threads=2)
+            out[name] = MetricsRegistry.from_batch(batch, tracer)
+        return out
+
+    @staticmethod
+    def _tasks(registry):
+        return [s for s in registry.spans if s.name == SPAN_TASK]
+
+    def test_serial_tasks_are_modeled_processes_tasks_are_wall(self, traced):
+        serial, procs = self._tasks(traced["serial"]), self._tasks(traced["processes"])
+        assert serial and procs
+        assert {s.args["clock"] for s in serial} == {"modeled"}
+        assert {s.args["clock"] for s in procs} == {"wall"}
+
+    def test_chrome_export_separates_clocks(self, traced, tmp_path):
+        registry = traced["serial"]
+        registry.add_spans(traced["processes"].spans)
+        path = tmp_path / "both.json"
+        registry.to_chrome_trace(path)
+        events = json.loads(path.read_text())["traceEvents"]
+        tasks = [e for e in events if e["name"] == SPAN_TASK]
+        by_clock = {
+            clock: {e["pid"] for e in tasks if e["args"]["clock"] == clock}
+            for clock in ("modeled", "wall")
+        }
+        assert by_clock == {
+            "modeled": {CHROME_PIDS["modeled"]}, "wall": {CHROME_PIDS["wall"]}
+        }
+        tracks = {(e["pid"], e["tid"]) for e in events if e["ph"] != "M"}
+        assert len({tid for _, tid in tracks}) == len(tracks)
+        processes = {
+            e["pid"] for e in events if e["name"] == "process_name"
+        }
+        assert processes == set(CHROME_PIDS.values())
+
+    def test_trace_check_reads_both_clocks(self, traced, tmp_path):
+        paths = []
+        for name, registry in traced.items():
+            path = tmp_path / f"{name}.jsonl"
+            registry.to_jsonl(path)
+            paths.append(path)
+        findings, checked = check_traces(paths)
+        assert findings == []
+        assert all(n > 0 for n in checked.values())
 
 
 class TestTraceCli:

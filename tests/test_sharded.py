@@ -48,7 +48,7 @@ from repro.core.shard import (
 from repro.core.variants import Variant, VariantSet
 from repro.engine.factory import INDEX_KINDS
 from repro.engine.session import Session
-from repro.exec import EXECUTORS, ShardedExecutor
+from repro.exec import EXECUTORS, Executor
 from repro.index.brute import BruteForceIndex
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
@@ -315,11 +315,11 @@ def exec_oracle(exec_cloud):
 
 class TestShardedExecutor:
     def test_registered(self):
-        assert EXECUTORS["sharded"] is ShardedExecutor
+        assert EXECUTORS["sharded"][:2] == ("lanes", "shard")
 
     def test_regions_and_part_size_mutually_exclusive(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(regions=2, part_size=100)
+            Executor("sharded", regions=2, part_size=100)
         with pytest.raises(ValueError):
             Session(np.zeros((4, 2)), regions=2, part_size=100)
 
@@ -357,8 +357,9 @@ class TestShardedExecutor:
 
     def test_executor_instance_knobs_thread_through(self, exec_cloud, exec_oracle):
         v = Variant(0.45, 4)
-        ex = ShardedExecutor(n_threads=2, regions=4)
-        batch = ex.run(exec_cloud, VariantSet([v]))
+        ex = Executor("sharded", n_threads=2, regions=4)
+        with Session(exec_cloud) as s:
+            batch = s.run(VariantSet([v]), executor=ex)
         assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
     def test_records_account_every_variant(self, exec_cloud):

@@ -39,7 +39,6 @@ import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, Variant, VariantSet
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import Tracer
 from repro.resilience.report import BatchReport
 from repro.supervise import (
     ACTION_KINDS,
@@ -65,6 +64,7 @@ from repro.supervise.remedy import BASE_RISK
 from repro.supervise.signals import task_token
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_rng, resolve_rng
+from repro.util.tracing import Tracer
 
 
 def _repro_segments() -> set[str]:
@@ -404,9 +404,9 @@ class TestSuperviseKnob:
             assert s.context(supervise=pol).supervisor is pol
 
     def test_executor_level_knob(self, points):
-        from repro.exec import EXECUTORS
+        from repro.exec import Executor
 
-        ex = EXECUTORS["processes"](supervise=True)
+        ex = Executor("processes", supervise=True)
         assert ex.supervise == SupervisePolicy()
         assert "supervise" in repr(ex)
         with Session(points) as s:

@@ -24,9 +24,9 @@ import numpy as np
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, Variant, VariantSet
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import Tracer, use_tracer
 from repro.supervise import SupervisePolicy
 from repro.util.rng import resolve_rng
+from repro.util.tracing import Tracer, use_tracer
 
 HERE = Path(__file__).parent
 
