@@ -558,6 +558,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worst_ratio(ratios: dict[str, float]) -> float:
+    """The coverage ratio farthest from 1.0."""
+    return max(ratios.values(), key=lambda v: abs(v - 1.0))
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, Tracer, use_tracer
 
@@ -580,13 +585,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
             regions=args.regions,
             part_size=args.part_size,
             shard_threshold=args.shard_threshold,
+            kernel=args.kernel,
         )
     registry = MetricsRegistry.from_batch(batch, tracer)
     print(registry.summary())
     coverage = registry.phase_coverage()
     if coverage:
-        worst = min(coverage.values(), key=lambda v: -abs(v - 1.0))
-        print(f"phase coverage: {len(coverage)} variants, worst {worst:.1%} of wall")
+        cpu = registry.phase_cpu_coverage()
+        print(
+            f"phase coverage: {len(coverage)} variants, worst "
+            f"{_worst_ratio(coverage):.1%} of critical-path wall, "
+            f"{_worst_ratio(cpu):.1%} of CPU-seconds"
+        )
     if args.jsonl:
         registry.to_jsonl(args.jsonl)
         print(f"JSONL trace written to {args.jsonl}")
@@ -720,6 +730,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--threads", type=int, default=1)
     t.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="SCHEDGREEDY")
     t.add_argument("--policy", choices=sorted(POLICIES), default="CLUSDENSITY")
+    t.add_argument(
+        "--kernel",
+        choices=list(KERNELS),
+        default="bfs",
+        help="from-scratch clustering kernel (bfs or cellgraph)",
+    )
     t.add_argument("--r", type=int, default=70)
     t.add_argument("--regions", type=int, default=None,
                    help="spatial region count for --executor sharded")

@@ -31,6 +31,13 @@ Implementation notes
   when the scan actually consumes it, so counter totals (and cache
   contents) still match the scalar machine exactly (see DESIGN.md
   substitutions).
+* With a run-scoped :class:`~repro.core.neighbors.SearchOutcomes`
+  table, the batched loops *settle* searches whose recorded
+  ``|N_eps(p)|`` is already below ``minpts`` (an earlier variant at the
+  same eps searched ``p``): the point is marked visited and charged
+  exactly its scalar search, without running it.  A non-core point's
+  search only decides that it is non-core, so labels, core mask and
+  counters stay byte-identical; the scalar loops never settle.
 * When a tracer is active (:mod:`repro.obs`), a
   :class:`~repro.util.tracing.PhaseClock` partitions the run into
   ``outer_scan`` (scanning for founders, including their searches) and
@@ -45,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cellgraph import cellgraph_dbscan
-from repro.core.neighbors import NeighborSearcher, OuterScanPrefetcher
+from repro.core.neighbors import NeighborSearcher, OuterScanPrefetcher, SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.variants import Variant
@@ -75,6 +82,7 @@ def dbscan(
     counters: WorkCounters | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     cache: NeighborhoodCache | None = None,
+    outcomes: SearchOutcomes | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` with DBSCAN.
@@ -102,6 +110,10 @@ def dbscan(
     cache:
         Optional per-eps neighborhood cache shared across runs (see
         :mod:`repro.core.neighcache`).
+    outcomes:
+        Optional run-scoped search-outcome table (see
+        :class:`~repro.core.neighbors.SearchOutcomes`); ignored when a
+        ``cache`` is given or ``batch_size <= 1``.
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default — see :mod:`repro.obs`).
@@ -157,6 +169,7 @@ def dbscan(
         next_cluster_id=0,
         batch_size=batch_size,
         cache=cache,
+        outcomes=outcomes,
         phases=phases,
     )
     # Stop the wall clock before finish(): record emission allocates and
@@ -208,6 +221,9 @@ def expand_frontier(
             unvisited = block[~visited[block]]
             if unvisited.size:
                 visited[unvisited] = True
+                if searcher.outcomes is not None:
+                    unvisited = unvisited[~searcher.settle_noncore(unvisited, minpts)]
+            if unvisited.size:
                 indptr, neigh = searcher.search_batch(unvisited)
                 counts = np.diff(indptr)
                 core_rows = counts >= minpts
@@ -244,6 +260,7 @@ def dbscan_into(
     next_cluster_id: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
     cache: NeighborhoodCache | None = None,
+    outcomes: SearchOutcomes | None = None,
     phases: PhaseClock | None = None,
 ) -> int:
     """Run the Algorithm 1 main loop *into* caller-owned state arrays.
@@ -259,11 +276,19 @@ def dbscan_into(
     the loop runs under ``outer_scan`` and switches to ``expand`` for
     each founded cluster's frontier expansion.
 
+    Every point still unvisited here is searched exactly once by this
+    loop, by the outer scan or by an expansion.  So with an
+    ``outcomes`` table (batched loops only), the points it already
+    knows to be non-core are settled up front: charged, marked visited,
+    and left for expansions to claim as border points.
+
     Returns the next unused cluster id.
     """
     if phases is None:
         phases = resolve_tracer(None).phase_clock()
-    searcher = NeighborSearcher(index, eps, counters, cache=cache)
+    if batch_size <= 1:
+        outcomes = None  # the scalar loops are the unmemoized reference
+    searcher = NeighborSearcher(index, eps, counters, cache=cache, outcomes=outcomes)
     n = labels.shape[0]
     in_seeds = np.zeros(n, dtype=bool)
     cid = next_cluster_id
@@ -272,6 +297,9 @@ def dbscan_into(
     )
 
     phases.switch("outer_scan")
+    if searcher.outcomes is not None:
+        todo = np.flatnonzero(~visited)
+        visited[todo[searcher.settle_noncore(todo, minpts)]] = True
     for p in range(n):
         if visited[p]:
             continue

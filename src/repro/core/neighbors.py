@@ -28,10 +28,18 @@ Both kernels consult an optional per-eps
 :class:`~repro.core.neighcache.NeighborhoodCache`: a hit returns the
 memoized (read-only) neighbor array and charges only the search itself
 — no node visits, candidates, or distance computations.
+
+Without a cache, a searcher may instead carry one entry of a run-scoped
+:class:`SearchOutcomes` table: every search records ``|N_eps(p)|`` and
+its scalar-equivalent charges, and :meth:`NeighborSearcher.settle_noncore`
+lets the batched Algorithm 1/4 loops skip a later search whose recorded
+count is already below ``minpts`` while charging exactly what it would
+have cost.
 """
 
 from __future__ import annotations
 
+import threading
 
 import numpy as np
 
@@ -41,7 +49,12 @@ from repro.index.base import SpatialIndex
 from repro.index.mbb import XMAX, XMIN, YMAX, YMIN, point_query_mbb
 from repro.metrics.counters import WorkCounters
 
-__all__ = ["neighbor_search", "NeighborSearcher", "OuterScanPrefetcher"]
+__all__ = [
+    "neighbor_search",
+    "NeighborSearcher",
+    "OuterScanPrefetcher",
+    "SearchOutcomes",
+]
 
 
 def neighbor_search(
@@ -60,16 +73,114 @@ def neighbor_search(
     return searcher.search(point_idx)
 
 
+class _Outcomes:
+    """Recorded search outcomes for one ``(eps, index)`` key.
+
+    ``count[p] >= 0`` marks point ``p`` as searched: ``|N_eps(p)|`` and
+    the node visits / candidates a scalar search of ``p`` charges.  All
+    three are pure functions of ``(points, index, eps)``, so a record
+    never goes stale and concurrent writers of one point agree.  Writes
+    and reads hold the table's lock, and ``count`` is written last.
+    """
+
+    __slots__ = ("index", "count", "visits", "cands", "settled", "_lock")
+
+    def __init__(self, index: SpatialIndex, lock: threading.Lock) -> None:
+        self.index = index  # strong ref pins id(index) for the key's lifetime
+        n = int(index.points.shape[0])
+        self.count = np.full(n, -1, dtype=np.int32)
+        self.visits = np.zeros(n, dtype=np.int32)
+        self.cands = np.zeros(n, dtype=np.int32)
+        self.settled = 0
+        self._lock = lock
+
+    def record(
+        self,
+        idxs: np.ndarray | int,
+        counts: np.ndarray | int,
+        visits: np.ndarray | int,
+        cands: np.ndarray | int,
+    ) -> None:
+        """Record searches of ``idxs`` (one point or an array of them)."""
+        with self._lock:
+            self.visits[idxs] = visits
+            self.cands[idxs] = cands
+            self.count[idxs] = counts
+
+    def settle(
+        self, idxs: np.ndarray, minpts: int
+    ) -> tuple[np.ndarray, int, int, int]:
+        """Mask of ``idxs`` recorded non-core, with their summed charges.
+
+        Returns ``(mask, neighbors, visits, cands)``: the summed
+        ``|N_eps(p)|``, node visits and candidates of the masked points.
+        """
+        with self._lock:
+            count = self.count[idxs]
+            mask = (count >= 0) & (count < minpts)
+            hit = idxs[mask]
+            self.settled += int(hit.size)
+            return (
+                mask,
+                int(count[mask].sum()),
+                int(self.visits[hit].sum()),
+                int(self.cands[hit].sum()),
+            )
+
+
+class SearchOutcomes:
+    """Run-scoped table of epsilon-search outcomes, one entry per ``(eps, index)``.
+
+    ``N_eps(p)`` and the cost of searching for it do not depend on
+    minpts, so once any variant at this eps has searched ``p``, every
+    later variant knows whether ``p`` is core under its own minpts and
+    what the search costs.  The batched kernels use that to settle
+    non-core searches without running them (see
+    :meth:`NeighborSearcher.settle_noncore`).  Costs 12 bytes per point
+    per entry; :class:`~repro.engine.session.Session` creates one per
+    run and drops it when the run returns.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[tuple[float, int], _Outcomes] = {}
+
+    def entry(self, eps: float, index: SpatialIndex) -> _Outcomes:
+        """The (created-on-demand) entry for ``(eps, index)``."""
+        key = (float(eps), id(index))
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = _Outcomes(index, self._lock)
+            return entry
+
+    def stats(self) -> dict[str, int]:
+        """Entries, bytes held, points recorded and searches settled."""
+        with self._lock:
+            entries = list(self._entries.values())
+            return {
+                "entries": len(entries),
+                "bytes": sum(
+                    e.count.nbytes + e.visits.nbytes + e.cands.nbytes
+                    for e in entries
+                ),
+                "recorded": sum(int(np.count_nonzero(e.count >= 0)) for e in entries),
+                "settled": sum(e.settled for e in entries),
+            }
+
+
 class NeighborSearcher:
     """Reusable epsilon-search kernel bound to one index and radius.
 
     Thread-safety: instances hold no mutable state besides the caller's
-    counters (the optional cache locks internally); one searcher per
-    worker thread/process is the intended usage (each worker owns its
-    counters).
+    counters (the optional cache and outcome table lock internally);
+    one searcher per worker thread/process is the intended usage (each
+    worker owns its counters).
     """
 
-    __slots__ = ("index", "points", "eps", "_eps2", "counters", "cache", "_x", "_y")
+    __slots__ = (
+        "index", "points", "eps", "_eps2", "counters", "cache", "outcomes", "_x", "_y"
+    )
 
     def __init__(
         self,
@@ -78,6 +189,7 @@ class NeighborSearcher:
         counters: WorkCounters | None = None,
         *,
         cache: NeighborhoodCache | None = None,
+        outcomes: SearchOutcomes | None = None,
     ) -> None:
         self.index = index
         self.points = index.points
@@ -85,6 +197,13 @@ class NeighborSearcher:
         self._eps2 = self.eps * self.eps
         self.counters = counters if counters is not None else WorkCounters()
         self.cache = cache
+        # A row cache serves instead, so its neigh_cache_* counters keep
+        # their meaning.
+        self.outcomes = (
+            outcomes.entry(self.eps, index)
+            if outcomes is not None and cache is None
+            else None
+        )
         # Column views: contiguous per-axis access beats fancy-indexing
         # rows in the filter kernel.
         self._x = np.ascontiguousarray(self.points[:, 0])
@@ -107,9 +226,40 @@ class NeighborSearcher:
             c.neigh_cache_misses += 1
             self.cache.put(self.eps, self.index, point_idx, neigh)
             return neigh
-        x = self._x[point_idx]
-        y = self._y[point_idx]
-        return self.search_xy(float(x), float(y))
+        x = float(self._x[point_idx])
+        y = float(self._y[point_idx])
+        if self.outcomes is None:
+            return self.search_xy(x, y)
+        c = self.counters
+        visits0, cands0 = c.index_nodes_visited, c.candidates_examined
+        neigh = self.search_xy(x, y)
+        self.outcomes.record(
+            point_idx,
+            neigh.size,
+            c.index_nodes_visited - visits0,
+            c.candidates_examined - cands0,
+        )
+        return neigh
+
+    def settle_noncore(self, idxs: np.ndarray, minpts: int) -> np.ndarray:
+        """Settle the searches of ``idxs`` already known to be non-core.
+
+        Returns the mask of points whose recorded ``|N_eps(p)|`` is below
+        ``minpts``.  Their searches are charged exactly as a scalar
+        :meth:`search` would charge them, and not run: the caller marks
+        them visited and treats them as searched non-core points.  All
+        ``False`` when no outcome table is attached.
+        """
+        if self.outcomes is None:
+            return np.zeros(idxs.size, dtype=bool)
+        mask, found, visits, cands = self.outcomes.settle(idxs, minpts)
+        c = self.counters
+        c.neighbor_searches += int(np.count_nonzero(mask))
+        c.index_nodes_visited += visits
+        c.candidates_examined += cands
+        c.distance_computations += cands
+        c.neighbors_found += found
+        return mask
 
     def search_xy(self, x: float, y: float) -> np.ndarray:
         """Epsilon-neighborhood of an arbitrary location.
@@ -222,6 +372,13 @@ class NeighborSearcher:
 
     def _filter_block(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Uncached batch query + vectorized distance filter."""
+        if self.outcomes is not None:
+            indptr, neigh, visits, cands = self.filter_block_visits(idxs)
+            c = self.counters
+            c.index_nodes_visited += int(visits.sum())
+            c.candidates_examined += int(cands.sum())
+            c.distance_computations += int(cands.sum())
+            return indptr, neigh
         c = self.counters
         m = idxs.size
         mbbs, xs, ys = self._query_mbbs(idxs)
@@ -245,14 +402,18 @@ class NeighborSearcher:
         speculative outer-scan prefetcher charges these per row on
         consumption; rows that are never consumed charge nothing —
         matching the scalar machine, which never searches those points.
+        Every row is recorded in the outcome table, when one is attached.
         """
         m = idxs.size
         mbbs, xs, ys = self._query_mbbs(idxs)
         cptr, cand, visits = self.index.query_candidates_batch_visits(mbbs)
         cands = np.diff(cptr)
         if cand.size == 0:
-            return cptr, cand, visits, cands
-        indptr, neigh = self._distance_filter(cptr, cand, xs, ys, m)
+            indptr, neigh = cptr, cand
+        else:
+            indptr, neigh = self._distance_filter(cptr, cand, xs, ys, m)
+        if self.outcomes is not None:
+            self.outcomes.record(idxs, np.diff(indptr), visits, cands)
         return indptr, neigh, visits, cands
 
 

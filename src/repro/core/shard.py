@@ -59,7 +59,7 @@ from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
 from repro.metrics.counters import WorkCounters
 from repro.util.timing import Stopwatch
-from repro.util.tracing import Tracer, resolve_tracer
+from repro.util.tracing import SPAN_SHARD, Tracer, resolve_tracer
 from repro.util.validation import as_points_array, check_eps, check_minpts
 
 __all__ = [
@@ -73,8 +73,6 @@ __all__ = [
     "sharded_dbscan",
 ]
 
-#: Span emitted around one shard's clustering (region/owned/slab sizes).
-SPAN_SHARD = "shard"
 #: Span emitted around the parent-side cross-border merge.
 SPAN_SHARD_MERGE = "shard_merge"
 
@@ -269,15 +267,22 @@ def cluster_shard(
     grid), then keeps only what the merge needs: exact core flags and
     local component ids for the owned points, plus the bounded
     non-core adjacency pairs for border resolution.
+
+    Traced, the work around the kernel (slab copy and index build,
+    then the border search) runs under ``shard_slab`` / ``shard_border``
+    phases, so the region's phases cover its ``shard`` span as the
+    kernel's phases cover the kernel.
     """
     points = as_points_array(points)
     minpts = check_minpts(minpts)
     if counters is None:
         counters = WorkCounters()
     tr = resolve_tracer(tracer)
+    label = str(Variant(plan.eps, minpts))
     owned_idx, slab_idx = shard_members(points, plan, region)
     with tr.span(
         SPAN_SHARD,
+        variant=label,
         region=region,
         owned=int(owned_idx.size),
         slab=int(slab_idx.size),
@@ -294,8 +299,11 @@ def cluster_shard(
                 border_dst=empty,
                 counters=counters,
             )
+        phases = tr.phase_clock(variant=label)
+        phases.switch("shard_slab")
         sub = np.ascontiguousarray(points[slab_idx])
         index = _shard_index(sub, plan.eps, kernel)
+        phases.finish()
         local = dbscan(
             sub,
             plan.eps,
@@ -305,6 +313,7 @@ def cluster_shard(
             batch_size=batch_size,
             tracer=tracer,
         )
+        phases.switch("shard_border")
         owned_pos = np.searchsorted(slab_idx, owned_idx)
         core = local.core_mask[owned_pos]
         local_labels = local.labels[owned_pos]
@@ -316,6 +325,7 @@ def cluster_shard(
             border_dst = slab_idx[neigh]
         else:
             border_src = border_dst = empty
+        phases.finish()
         return ShardPiece(
             region=region,
             owned_idx=owned_idx,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan, dbscan_into, expand_frontier
-from repro.core.neighbors import NeighborSearcher
+from repro.core.neighbors import NeighborSearcher, SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.reuse import CLUS_DENSITY, ReusePolicy
@@ -132,6 +132,7 @@ def variant_dbscan(
     counters: WorkCounters | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     cache: NeighborhoodCache | None = None,
+    outcomes: SearchOutcomes | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` under ``variant``, reusing ``previous`` if given.
@@ -162,6 +163,11 @@ def variant_dbscan(
         Optional per-eps neighborhood cache; variants sharing an eps
         (and this index) reuse each other's epsilon searches (see
         :mod:`repro.core.neighcache`).
+    outcomes:
+        Optional run-scoped search-outcome table: the batched loops
+        settle searches of points an earlier variant at this eps found
+        non-core (see :class:`~repro.core.neighbors.SearchOutcomes`).
+        Ignored when a ``cache`` is given or ``batch_size <= 1``.
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default).  When enabled, a phase clock partitions
@@ -192,6 +198,7 @@ def variant_dbscan(
             counters=counters,
             batch_size=batch_size,
             cache=cache,
+            outcomes=outcomes,
             tracer=tracer,
         )
 
@@ -219,7 +226,11 @@ def variant_dbscan(
     destroyed: set[int] = set()
     old_labels = previous.labels
     members = previous.cluster_members()
-    searcher = NeighborSearcher(t_low, variant.eps, counters, cache=cache)
+    if batch_size <= 1:
+        outcomes = None  # the scalar loops are the unmemoized reference
+    searcher = NeighborSearcher(
+        t_low, variant.eps, counters, cache=cache, outcomes=outcomes
+    )
 
     phases.switch("seed_order")
     seed_list = reuse_policy.get_seed_list(previous, points, variant.eps)
@@ -302,6 +313,7 @@ def variant_dbscan(
         next_cluster_id=cid,
         batch_size=batch_size,
         cache=cache,
+        outcomes=outcomes,
         phases=phases,
     )
     # Wall clock stops first: finish()'s record emission allocates and

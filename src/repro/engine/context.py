@@ -28,6 +28,7 @@ import numpy as np
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.neighbors import SearchOutcomes
     from repro.core.neighcache import NeighborhoodCache
     from repro.core.reuse import ReusePolicy
     from repro.core.scheduling import Scheduler
@@ -110,6 +111,12 @@ class RunContext:
     cache:
         Per-run neighborhood cache shared across the batch's variants,
         or ``None`` when caching is disabled.
+    outcomes:
+        Per-run search-outcome table shared across the batch's variants
+        (:class:`~repro.core.neighbors.SearchOutcomes`): lets the
+        batched kernels settle searches of points an earlier variant at
+        the same eps found non-core.  ``None`` when a ``cache`` serves
+        or the loops are scalar.
     tracer:
         Resolved span collector for the run (never ``None``; disabled
         tracing is the null tracer).
@@ -167,6 +174,7 @@ class RunContext:
     n_threads: int = 1
     batch_size: int = 0
     cache: NeighborhoodCache | None = None
+    outcomes: SearchOutcomes | None = field(repr=False, default=None)
     tracer: Tracer = field(repr=False, default_factory=_null_tracer)
     dataset: str = ""
     retry_policy: RetryPolicy | None = None

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE
+from repro.core.neighbors import SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
 from repro.core.scheduling import SCHEDULERS, Scheduler
@@ -294,6 +295,11 @@ class Session:
         else:
             sup = pick("supervise", as_supervise_policy(supervise))
         tracer = resolve_tracer(self.tracer)
+        cache = (
+            NeighborhoodCache(capacity_bytes=cache_bytes)
+            if cache_bytes and cache_bytes > 0
+            else None
+        )
         return RunContext(
             store=self.store,
             indexes=self.indexes(low_res_r),
@@ -304,10 +310,10 @@ class Session:
                 n_threads if n_threads is not None else 1, name="n_threads"
             ),
             batch_size=batch_size,
-            cache=(
-                NeighborhoodCache(capacity_bytes=cache_bytes)
-                if cache_bytes and cache_bytes > 0
-                else None
+            cache=cache,
+            # Run-scoped: dropped with the context when the run returns.
+            outcomes=(
+                SearchOutcomes() if cache is None and batch_size > 1 else None
             ),
             tracer=tracer,
             dataset=dataset if dataset is not None else self.dataset,

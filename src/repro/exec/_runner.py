@@ -79,6 +79,7 @@ def execute_variant(
                     counters=counters,
                     batch_size=ctx.batch_size,
                     cache=ctx.cache,
+                    outcomes=ctx.outcomes,
                     tracer=tr,
                 )
         else:
@@ -93,6 +94,7 @@ def execute_variant(
                 counters=counters,
                 batch_size=ctx.batch_size,
                 cache=ctx.cache,
+                outcomes=ctx.outcomes,
                 tracer=tr,
             )
         span.set(

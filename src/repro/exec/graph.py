@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE
+from repro.core.neighbors import SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import ClusteringResult
 from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
@@ -238,19 +239,26 @@ def partition_reuse_chains(
     return [b for b in bins if b]
 
 
-def _trace_cache_stats(tracer: Tracer, cache: NeighborhoodCache | None) -> None:
-    """Emit the batch's final cache statistics as an instant event."""
-    if cache is None or not tracer.enabled:
+def _trace_search_stats(
+    tracer: Tracer,
+    cache: NeighborhoodCache | None,
+    outcomes: SearchOutcomes | None,
+) -> None:
+    """Emit the batch's final cache and outcome-table statistics as instants."""
+    if not tracer.enabled:
         return
-    s = cache.stats()
-    tracer.instant(
-        "cache.stats",
-        hits=s.hits,
-        misses=s.misses,
-        evictions=s.evictions,
-        entries=s.entries,
-        bytes_stored=s.bytes_stored,
-    )
+    if cache is not None:
+        s = cache.stats()
+        tracer.instant(
+            "cache.stats",
+            hits=s.hits,
+            misses=s.misses,
+            evictions=s.evictions,
+            entries=s.entries,
+            bytes_stored=s.bytes_stored,
+        )
+    if outcomes is not None:
+        tracer.instant("search_outcomes.stats", **outcomes.stats())
 
 
 @dataclass(frozen=True)
@@ -266,6 +274,7 @@ class _LaneEnv:
     reuse_policy: str
     cost_model: CostModel
     cache_bytes: int
+    outcomes: bool  # build a search-outcome table per chain
     retry_policy: RetryPolicy | None
     checkpoint_root: str | None
     deadline_s: float | None
@@ -287,9 +296,10 @@ def _chain_worker(
     they are seeded into the worker's completed registry at t = 0 so
     the chain's head can reuse them (the registry accepts out-of-set
     donors — inclusion checks are pure variant arithmetic).  The
-    neighborhood cache and tracer cannot cross the process boundary, so
-    each worker builds its own and ships its spans back as plain
-    records (``perf_counter`` is system-wide, so they need no rebase).
+    neighborhood cache, search-outcome table and tracer cannot cross the
+    process boundary, so each worker builds its own and ships its spans
+    back as plain records (``perf_counter`` is system-wide, so they
+    need no rebase).
 
     The parent ships its retry policy, the already-bound fault plan
     (re-keyed by the chain's submission count, see
@@ -330,6 +340,7 @@ def _chain_worker(
             if env.cache_bytes > 0
             else None
         )
+        outcomes = SearchOutcomes() if env.outcomes else None
         checkpoint = (
             CheckpointStore(env.checkpoint_root, store.fingerprint, store.n_points)
             if env.checkpoint_root
@@ -343,6 +354,7 @@ def _chain_worker(
             cost_model=env.cost_model,
             batch_size=env.batch_size,
             cache=cache,
+            outcomes=outcomes,
             retry_policy=env.retry_policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
@@ -381,7 +393,7 @@ def _chain_worker(
             results[variant] = result
             records.append(record)
         if tracer is not None:
-            _trace_cache_stats(tracer, cache)
+            _trace_search_stats(tracer, cache, outcomes)
     finally:
         # Drop every view into the segments before unmapping; both
         # closes tolerate lingering exports (OS reclaims at exit).
@@ -753,6 +765,7 @@ class _Lanes(_Wall):
             reuse_policy=ctx.reuse_policy.name,
             cost_model=ctx.cost_model,
             cache_bytes=ctx.cache.capacity_bytes if ctx.cache is not None else 0,
+            outcomes=ctx.outcomes is not None,
             retry_policy=d.runner.policy,
             checkpoint_root=(
                 str(ctx.checkpoint.root) if ctx.checkpoint is not None else None
@@ -1025,7 +1038,7 @@ class _Dispatch:
         if self.tracer.enabled and self.spans:
             self.tracer.add_records(self.spans)
         if sub.shares_cache:
-            _trace_cache_stats(self.tracer, self.ctx.cache)
+            _trace_search_stats(self.tracer, self.ctx.cache, self.ctx.outcomes)
 
     def next_job(self) -> _Job | None:
         """The first unit in dispatch order whose hard deps are settled."""

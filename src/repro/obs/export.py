@@ -3,8 +3,8 @@
 JSONL is the machine-readable interchange format: one JSON object per
 line, typed by a ``type`` field, loss-free — :func:`read_jsonl`
 reconstructs a :class:`~repro.obs.registry.MetricsRegistry` whose
-spans, variant rows, totals, cache stats, and metadata compare equal
-to the original.  Line types:
+spans, variant rows, totals, cache and outcome-table stats, and
+metadata compare equal to the original.  Line types:
 
 ``meta``
     Batch configuration labels (exactly one line, first).
@@ -16,6 +16,8 @@ to the original.  Line types:
     One per-variant row (reuse bookkeeping, times, counters).
 ``cache``
     Aggregated neighborhood-cache statistics (at most one line).
+``search_outcomes``
+    Aggregated search-outcome table statistics (at most one line).
 
 The Chrome trace export targets ``chrome://tracing`` / Perfetto:
 complete (``"ph": "X"``) events in microseconds, one track per worker
@@ -60,6 +62,10 @@ def write_jsonl(path: PathLike, registry: MetricsRegistry) -> None:
         lines.append(json.dumps({"type": "variant", **row}))
     if registry.cache is not None:
         lines.append(json.dumps({"type": "cache", **registry.cache}))
+    if registry.search_outcomes is not None:
+        lines.append(
+            json.dumps({"type": "search_outcomes", **registry.search_outcomes})
+        )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -84,6 +90,8 @@ def read_jsonl(path: PathLike) -> MetricsRegistry:
             reg.totals.merge(WorkCounters(**obj["counters"]))
         elif kind == "cache":
             reg.cache = obj
+        elif kind == "search_outcomes":
+            reg.search_outcomes = obj
         else:
             raise ValueError(f"unknown trace line type {kind!r} in {path}")
     return reg

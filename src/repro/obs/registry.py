@@ -7,7 +7,9 @@ A clustering batch already yields three disjoint kinds of telemetry:
 * **span / phase records** (:mod:`repro.util.tracing`) — wall-clock
   attribution of where the time went;
 * **cache statistics** (:class:`~repro.core.neighcache.CacheStats`) —
-  hit/miss/eviction rates of the per-eps neighborhood cache.
+  hit/miss/eviction rates of the per-eps neighborhood cache, and the
+  occupancy and settled searches of the run's search-outcome table
+  (:class:`~repro.core.neighbors.SearchOutcomes`).
 
 :class:`MetricsRegistry` unifies them into one queryable object that
 round-trips through JSONL (:mod:`repro.obs.export`), renders Chrome
@@ -20,12 +22,27 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.metrics.counters import WorkCounters
-from repro.util.tracing import PHASE_PREFIX, SpanRecord, Tracer
+from repro.util.tracing import PHASE_PREFIX, SPAN_SHARD, SpanRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids exec import cycle
     from repro.exec.base import BatchResult
 
 __all__ = ["MetricsRegistry"]
+
+_CACHE_KEYS = ("hits", "misses", "evictions", "entries", "bytes_stored")
+_OUTCOME_KEYS = ("entries", "bytes", "recorded", "settled")
+
+
+def _add_stats(into: dict | None, stats: dict, keys: tuple[str, ...]) -> dict:
+    """Sum one ``*.stats`` instant into ``into``.
+
+    Several caches or tables can report (one per process-lane worker);
+    tallies add, and occupancy gauges add too (the stores are disjoint).
+    """
+    out = into if into is not None else dict.fromkeys(keys, 0)
+    for k in keys:
+        out[k] += int(stats.get(k, 0))
+    return out
 
 
 class MetricsRegistry:
@@ -45,6 +62,9 @@ class MetricsRegistry:
     cache:
         Cache statistics dict (``hits``/``misses``/``evictions``/
         ``entries``/``bytes_stored``) or ``None`` when no cache ran.
+    search_outcomes:
+        Search-outcome table statistics (``entries``/``bytes``/
+        ``recorded``/``settled``) or ``None`` when no table ran.
     meta:
         Batch configuration labels (executor, scheduler, policy,
         dataset, ``n_threads``, makespan).
@@ -55,6 +75,7 @@ class MetricsRegistry:
         self.variant_rows: list[dict] = []
         self.totals = WorkCounters()
         self.cache: dict | None = None
+        self.search_outcomes: dict | None = None
         self.meta: dict = {}
 
     # ------------------------------------------------------------------
@@ -70,9 +91,11 @@ class MetricsRegistry:
 
         ``tracer`` contributes the span records (pass the tracer the
         executor ran under); the batch contributes per-variant rows,
-        merged counters, and configuration metadata.  Cache statistics
-        arrive as ``cache.stats`` instant events emitted by the
-        executors and are folded into :attr:`cache`.
+        merged counters, and configuration metadata.  Cache and
+        outcome-table statistics arrive as ``cache.stats`` /
+        ``search_outcomes.stats`` instant events emitted by the
+        executors and are folded into :attr:`cache` /
+        :attr:`search_outcomes`.
         """
         reg = cls()
         rec = batch.record
@@ -114,21 +137,16 @@ class MetricsRegistry:
         return reg
 
     def add_spans(self, records: list[SpanRecord]) -> None:
-        """Fold span records in, absorbing ``cache.stats`` instants."""
+        """Fold span records in, absorbing the ``*.stats`` instants."""
         for r in records:
             if r.name == "cache.stats":
-                self._merge_cache_stats(r.args)
+                self.cache = _add_stats(self.cache, r.args, _CACHE_KEYS)
+            elif r.name == "search_outcomes.stats":
+                self.search_outcomes = _add_stats(
+                    self.search_outcomes, r.args, _OUTCOME_KEYS
+                )
             else:
                 self.spans.append(r)
-
-    def _merge_cache_stats(self, stats: dict) -> None:
-        # Several caches can report (one per process-pool worker);
-        # tallies add, occupancy gauges add too (disjoint caches).
-        if self.cache is None:
-            self.cache = {k: 0 for k in
-                          ("hits", "misses", "evictions", "entries", "bytes_stored")}
-        for k in self.cache:
-            self.cache[k] += int(stats.get(k, 0))
 
     # ------------------------------------------------------------------
     # queries
@@ -214,20 +232,63 @@ class MetricsRegistry:
         """``{variant label: wall seconds}`` from the per-variant rows."""
         return {row["variant"]: row["wall_time"] for row in self.variant_rows}
 
+    def _phase_tracks(self) -> dict[str, dict[str, tuple[float, float]]]:
+        """``{variant: {thread: (phase seconds, window seconds)}}``.
+
+        A variant's phases land on one track per thread that ran part
+        of it.  A plain variant has one track, windowed by its measured
+        wall.  A sharded variant has a track per concurrent region
+        worker, each windowed by its ``shard`` spans: the variant's
+        wall runs from dispatch to the merge, so concurrent phases
+        must not be summed against it.
+        """
+        walls = self.variant_walls()
+        windows: dict[str, dict[str, float]] = {}
+        for s in self.spans:
+            if s.name == SPAN_SHARD and "variant" in s.args:
+                w = windows.setdefault(s.args["variant"], {})
+                w[s.thread] = w.get(s.thread, 0.0) + s.dur
+        out: dict[str, dict[str, tuple[float, float]]] = {}
+        for s in self.spans:
+            v = s.args.get("variant")
+            if v is None or not s.name.startswith(PHASE_PREFIX):
+                continue
+            tracks = out.setdefault(v, {})
+            track = s.thread if v in windows else ""
+            dur, _ = tracks.get(track, (0.0, 0.0))
+            window = windows.get(v, {}).get(track, walls.get(v, 0.0))
+            tracks[track] = (dur + s.dur, window)
+        return out
+
     def phase_coverage(self) -> dict[str, float]:
-        """Per-variant ratio of summed phase time to measured wall time.
+        """Per-variant ratio of phase time to wall time on the critical path.
 
         The phase clocks partition each variant's stopwatch window, so
         a healthy trace has every ratio within a few percent of 1.0 —
-        the consistency check the test layer asserts.  Variants with no
-        phase records (tracing off mid-run) are omitted.
+        the consistency check the test layer asserts.  For a sharded
+        variant the critical path is its longest region track, and the
+        ratio is that track's phase time over its window.  Variants
+        with no phase records (tracing off mid-run) are omitted.
         """
-        walls = self.variant_walls()
         out: dict[str, float] = {}
-        for v, phases in self.per_variant_phases().items():
-            wall = walls.get(v, 0.0)
-            if wall > 0.0:
-                out[v] = sum(phases.values()) / wall
+        for v, tracks in self._phase_tracks().items():
+            dur, window = max(tracks.values(), key=lambda t: t[1])
+            if window > 0.0:
+                out[v] = dur / window
+        return out
+
+    def phase_cpu_coverage(self) -> dict[str, float]:
+        """Per-variant ratio of summed phase time to summed track windows.
+
+        The CPU-seconds view of :meth:`phase_coverage`: concurrent
+        region tracks add on both sides.  Equal to it for variants
+        with one track.
+        """
+        out: dict[str, float] = {}
+        for v, tracks in self._phase_tracks().items():
+            window = sum(w for _, w in tracks.values())
+            if window > 0.0:
+                out[v] = sum(d for d, _ in tracks.values()) / window
         return out
 
     # ------------------------------------------------------------------
@@ -260,6 +321,13 @@ class MetricsRegistry:
                 "cache: {hits} hits / {misses} misses "
                 "({rate:.1%}), {evictions} evictions, {bytes_stored} bytes".format(
                     rate=self.cache_hit_rate, **self.cache
+                )
+            )
+        if self.search_outcomes is not None:
+            lines.append(
+                "search outcomes: {settled} searches settled from {recorded} "
+                "recorded points ({entries} eps entries, {bytes} bytes)".format(
+                    **self.search_outcomes
                 )
             )
         events = self.resilience_events()

@@ -60,6 +60,7 @@ __all__ = [
     "use_tracer",
     "resolve_tracer",
     "PHASE_PREFIX",
+    "SPAN_SHARD",
     "SPAN_TASK",
 ]
 
@@ -75,6 +76,11 @@ PHASE_PREFIX = "phase:"
 #: ``"modeled"`` work units on the ``sim`` substrate, ``"wall"``
 #: seconds everywhere else.
 SPAN_TASK = "task"
+
+#: Span emitted around one region's clustering by
+#: :func:`repro.core.shard.cluster_shard`; ``args`` carry the
+#: ``variant`` label and the region/owned/slab sizes.
+SPAN_SHARD = "shard"
 
 
 @dataclass

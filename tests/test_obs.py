@@ -237,6 +237,19 @@ class TestRegistry:
         assert "cache:" in text
         assert "expand" in text
 
+    def test_search_outcome_stats_fold_and_print(self, cloud):
+        """Without a row cache the run's outcome table reports instead."""
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batch = run_batch("serial", cloud, VARIANTS)
+        registry = MetricsRegistry.from_batch(batch, tracer)
+        assert registry.cache is None
+        stats = registry.search_outcomes
+        assert stats is not None and stats["recorded"] > 0
+        assert stats["entries"] == len({v.eps for v in VARIANTS})
+        assert not any(s.name == "search_outcomes.stats" for s in registry.spans)
+        assert "search outcomes:" in registry.summary()
+
 
 class TestExport:
     @pytest.fixture(scope="class")
@@ -260,6 +273,16 @@ class TestExport:
         assert loaded.totals.as_dict() == registry.totals.as_dict()
         # Derived views must agree too.
         assert loaded.phase_coverage() == registry.phase_coverage()
+
+    def test_jsonl_round_trips_search_outcomes(self, cloud, tmp_path):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batch = run_batch("serial", cloud, VARIANTS)
+        registry = MetricsRegistry.from_batch(batch, tracer)
+        path = tmp_path / "trace.jsonl"
+        registry.to_jsonl(path)
+        loaded = MetricsRegistry.load_jsonl(path)
+        assert loaded.search_outcomes == registry.search_outcomes is not None
 
     def test_jsonl_rejects_unknown_line_type(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -336,6 +359,35 @@ class TestTaskSpanClocks:
         assert all(n > 0 for n in checked.values())
 
 
+class TestConcurrentPhaseCoverage:
+    """Sharded variants run their phases on concurrent region tracks."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        from repro.data.registry import load_dataset
+
+        points = load_dataset("SW1", 0.01).points
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batch = run_batch(
+                "hybrid", points, VARIANTS, n_threads=2, regions=2,
+                shard_threshold=0,
+            )
+        return MetricsRegistry.from_batch(batch, tracer)
+
+    def test_hybrid_coverage_stays_near_one(self, registry):
+        shard_tracks = {
+            s.thread for s in registry.spans if s.name == "shard"
+        }
+        assert len(shard_tracks) == 2  # one track per region worker
+        wall = registry.phase_coverage()
+        cpu = registry.phase_cpu_coverage()
+        assert set(wall) == set(cpu) == {str(v) for v in VARIANTS}
+        for ratios in (wall, cpu):
+            for variant, ratio in ratios.items():
+                assert ratio == pytest.approx(1.0, abs=0.05), (variant, ratios)
+
+
 class TestTraceCli:
     def test_trace_command_writes_both_formats(self, tmp_path, capsys):
         jsonl = tmp_path / "t.jsonl"
@@ -358,3 +410,21 @@ class TestTraceCli:
         loaded = MetricsRegistry.load_jsonl(jsonl)
         assert len(loaded.variant_rows) == 2
         assert json.loads(chrome.read_text())["traceEvents"]
+
+    def test_trace_command_selects_the_kernel(self, tmp_path, capsys):
+        jsonl = tmp_path / "t.jsonl"
+        rc = main(
+            [
+                "trace",
+                "SW1",
+                "--eps", "0.4",
+                "--minpts", "4",
+                "--scale", "0.001",
+                "--kernel", "cellgraph",
+                "--jsonl", str(jsonl),
+            ]
+        )
+        assert rc == 0
+        assert "of CPU-seconds" in capsys.readouterr().out
+        names = set(MetricsRegistry.load_jsonl(jsonl).phase_names())
+        assert {"core_cells", "cell_edges"} <= names
