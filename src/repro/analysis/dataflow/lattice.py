@@ -61,7 +61,7 @@ class ResourceSpec:
     #: methods on the binding that release it (``x.close()``)
     release_methods: frozenset[str] = frozenset()
     #: acquirer method -> paired release method *on the same receiver*
-    #: (``supervisor.open_mailbox`` / ``supervisor.close_mailbox``)
+    #: (``recovery.open_mailbox`` / ``recovery.close_mailbox``)
     paired: dict[str, str] = field(default_factory=dict)
 
 
@@ -73,7 +73,7 @@ class ResourceSite:
     stmt: ast.stmt
     call: ast.Call
     acquire_name: str  # bare callable name
-    receiver: str  # dotted receiver ("supervisor" for supervisor.open_mailbox)
+    receiver: str  # dotted receiver ("recovery" for recovery.open_mailbox)
     bindings: set[str]
     managed: bool = False  # bound by ``with`` — the manager releases
     discarded: bool = False  # bare-expression acquisition, result dropped
@@ -427,8 +427,8 @@ def self_pairs_elsewhere(
 ) -> bool:
     """A discarded acquisition is fine if a paired release exists.
 
-    ``supervisor.open_mailbox(...)`` with the result dropped is still
-    released by ``supervisor.close_mailbox()`` — the receiver owns it.
+    ``recovery.open_mailbox(...)`` with the result dropped is still
+    released by ``recovery.close_mailbox()`` — the receiver owns it.
     (Path-sensitivity is lost for discarded results; the paired call
     anywhere in the function is accepted.)
     """

@@ -18,7 +18,7 @@ checks:
 * no argument is bare ``self`` (an executor/runtime instance drags
   its pools and tracer across the boundary);
 * no argument is a live-object constructor call or a name bound to
-  one (``Session``, ``Tracer``, ``Supervisor``, locks, queues...).
+  one (``Session``, ``Tracer``, ``Recovery``, locks, queues...).
 
 Attribute reads like ``tracer.enabled`` or ``ctx.cost_model`` are
 fine: the *value* crosses, not the object.
@@ -46,7 +46,7 @@ _LIVE_CTORS = frozenset(
     {
         "Session",
         "Tracer",
-        "Supervisor",
+        "Recovery",
         "Lock",
         "RLock",
         "Condition",

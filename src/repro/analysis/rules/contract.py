@@ -1,14 +1,15 @@
 """Executor contract: backends are table rows, dispatched by one runtime.
 
-The recovery-transparency grid (tests/test_resilience.py) and the
-canonical-label equivalence suite hold *because* every backend is a row
-of the ``EXECUTORS`` table in ``repro.exec.graph`` — a ``(substrate,
-mode)`` pair — run by one :class:`~repro.exec.graph.Executor` class
-through the one dispatch loop of
-:class:`~repro.exec.graph.GraphRuntime`, which owns every worker pool
-and routes fault handling through
-:class:`repro.resilience.runner.ResilientRunner` (the consumer of the
-:class:`FaultPlan`).  dislib's history shows what happens when
+The recovery-transparency grid (tests/test_resilience.py), the fault
+matrix (tests/test_fault_matrix.py) and the canonical-label equivalence
+suite hold *because* every backend is a row of the ``EXECUTORS`` table
+in ``repro.exec.graph`` — a ``(substrate, mode)`` pair — run by one
+:class:`~repro.exec.graph.Executor` class through the one dispatch loop
+of :class:`~repro.exec.graph.GraphRuntime`, which owns every worker
+pool and routes every failure through
+:class:`repro.resilience.recovery.Recovery` (the consumer of the
+:class:`FaultPlan` and the one place that decides retry, degrade or
+fail).  dislib's history shows what happens when
 distributed backends drift: one backend grows a keyword the others
 lack, and every cross-backend equivalence claim silently narrows.
 This rule pins the contract:
@@ -21,7 +22,7 @@ This rule pins the contract:
   ``run_context``, or deriving from one); its ``run_context`` takes
   exactly ``(self, ctx, variants)`` and references ``GraphRuntime`` —
   an executor that bypasses the runtime silently ignores the FaultPlan
-  and retry budgets the runtime's ResilientRunner consumes;
+  and retry budgets the runtime's Recovery consumes;
 * no module under ``repro.exec`` other than ``repro.exec.graph``
   spawns workers (``ProcessPoolExecutor`` / ``ThreadPoolExecutor`` /
   ``threading.Thread`` / ``multiprocessing.Process``);
@@ -29,10 +30,11 @@ This rule pins the contract:
   constructed only inside ``repro.exec.graph`` workers (and the
   defining module ``repro.supervise.signals``) — a pulse beating
   outside the runtime would fake liveness for work the supervisor
-  cannot see — and remediation :class:`Action` objects are built only
-  through the :class:`~repro.supervise.remedy.Proposer` registry in
-  ``repro.supervise.remedy``, so every action the runtime executes is
-  one the registry proposed and the risk gate scored.
+  cannot see — and remediation :class:`Action` and
+  :class:`RemediationRecord` objects are built only in
+  ``repro.resilience.recovery``, so every action the runtime executes
+  and every record a report carries came from the recovery table and
+  its risk gate.
 """
 
 from __future__ import annotations
@@ -61,13 +63,17 @@ _POOL_NAMES = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 #: module name -> attribute that spawns a worker.
 _POOL_ATTRS = {"threading": "Thread", "multiprocessing": "Process"}
 
+#: The module that holds the recovery table.
+_RECOVERY_MODULE = "repro.resilience.recovery"
+
 #: Supervision call discipline: callable name -> modules allowed to
 #: call it.  ``worker_pulse`` builds the heartbeat emitter (defined in
-#: signals, beaten only by the runtime's workers); ``Action`` is the
-#: remediation dataclass (constructed only by the Proposer registry).
+#: signals, beaten only by the runtime's workers); ``Action`` and
+#: ``RemediationRecord`` are built only by the recovery table.
 _SUPERVISE_SITES = {
     "worker_pulse": frozenset({"repro.supervise.signals", _RUNTIME_MODULE}),
-    "Action": frozenset({"repro.supervise.remedy"}),
+    "Action": frozenset({_RECOVERY_MODULE}),
+    "RemediationRecord": frozenset({_RECOVERY_MODULE}),
 }
 
 
@@ -288,7 +294,7 @@ class ExecutorContractRule(ProjectRule):
         return findings
 
     def _supervision_sites(self, project: Project) -> list[Finding]:
-        """Flag worker_pulse / Action construction outside sanctioned modules."""
+        """Flag pulse, action and record construction outside their modules."""
         findings: list[Finding] = []
         for module, mf in sorted(project.modules.items()):
             for node in ast.walk(mf.tree):
@@ -308,7 +314,7 @@ class ExecutorContractRule(ProjectRule):
                 what = (
                     "heartbeat emitters are constructed"
                     if called == "worker_pulse"
-                    else "remediation actions are proposed"
+                    else "remediation actions and records are built"
                 )
                 findings.append(self._finding(
                     mf, node,

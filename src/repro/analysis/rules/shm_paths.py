@@ -9,7 +9,7 @@ each call that acquires a segment-backed resource::
     shm = attach_shm(name)
     shm, pack = pack_arrays(arrays, tag)
     store = PointStore.attach(handle)
-    mailbox = supervisor.open_mailbox(n)
+    mailbox = recovery.open_mailbox(n)
 
 must reach a release (``release_segment`` / ``destroy_segment`` /
 ``.close()`` / ``.unlink()`` / the paired ``close_mailbox``), an

@@ -221,29 +221,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _doctor_anomalies(segments) -> list:
-    """Classify orphaned segments through the supervisor's detector.
-
-    Reuses the same signal → anomaly path the in-run supervisor walks,
-    so ``repro doctor`` and the remediation loop can never disagree on
-    what counts as a leak.
-    """
-    from repro.supervise import Detector, HealthMonitor
-
-    return Detector().classify_all(HealthMonitor.orphan_signals(segments))
-
-
 def cmd_doctor(args: argparse.Namespace) -> int:
+    # Orphans are classified by the recovery table's own function, so
+    # ``repro doctor`` and a supervised batch's reclaim never disagree.
     from repro.resilience.audit import scan_segments, unlink_segment
+    from repro.resilience.recovery import orphan_anomalies
 
     if getattr(args, "watch", False):
         return _doctor_watch(args)
     segments = scan_segments()
     removed = []
     if args.unlink:
-        for seg in segments:
-            if seg.orphaned and unlink_segment(seg.name):
-                removed.append(seg.name)
+        for anomaly in orphan_anomalies(segments):
+            if unlink_segment(anomaly.subject):
+                removed.append(anomaly.subject)
         segments = scan_segments()
     if args.json:
         import json
@@ -256,7 +247,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                     "orphaned": sum(1 for s in segments if s.orphaned),
                     "removed": removed,
                     "anomalies": [
-                        a.as_dict() for a in _doctor_anomalies(segments)
+                        a.as_dict() for a in orphan_anomalies(segments)
                     ],
                 }
             )
@@ -289,12 +280,13 @@ def _doctor_watch(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.resilience.audit import scan_segments, unlink_segment
+    from repro.resilience.recovery import orphan_anomalies
 
     polls = 0
     orphans = 0
     while True:
         segments = scan_segments()
-        anomalies = _doctor_anomalies(segments)
+        anomalies = orphan_anomalies(segments)
         orphans = len(anomalies)
         stamp = _time.strftime("%H:%M:%S")
         if anomalies:
@@ -304,7 +296,7 @@ def _doctor_watch(args: argparse.Namespace) -> int:
                 for a in anomalies:
                     if unlink_segment(a.subject):
                         print(f"[{stamp}] reclaimed {a.subject}")
-                orphans = len(_doctor_anomalies(scan_segments()))
+                orphans = len(orphan_anomalies(scan_segments()))
         else:
             print(f"[{stamp}] ok: {len(segments)} segment(s), 0 orphaned")
         polls += 1

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
     from repro.resilience.policy import RetryPolicy
-    from repro.supervise.supervisor import SupervisePolicy
+    from repro.resilience.policy import SupervisePolicy
     from repro.util.tracing import Tracer
 
 __all__ = ["KERNELS", "RunContext", "check_knobs"]
@@ -160,10 +160,9 @@ class RunContext:
         variant.
     supervisor:
         Self-healing supervision knobs
-        (:class:`~repro.supervise.supervisor.SupervisePolicy`):
-        heartbeat stall timeout, risk budget for auto-remediation, and
-        the graceful-degradation ladder settings.  ``None`` (default)
-        disables supervision entirely.
+        (:class:`~repro.resilience.policy.SupervisePolicy`):
+        risk budget for auto-remediation and heartbeat timing.
+        ``None`` (default) disables supervision entirely.
     """
 
     store: PointStore

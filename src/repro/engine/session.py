@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
     from repro.resilience.policy import RetryPolicy
-    from repro.supervise.supervisor import SupervisePolicy
+    from repro.resilience.policy import SupervisePolicy
 
 __all__ = ["Session"]
 
@@ -120,9 +120,9 @@ class Session:
         defers to the executor row; ``0`` shards every scratch
         variant).
     supervise:
-        Session-wide default for the self-healing supervisor
-        (:mod:`repro.supervise`): ``True`` enables the default
-        :class:`~repro.supervise.supervisor.SupervisePolicy`, a policy
+        Session-wide default for self-healing supervision
+        (:mod:`repro.resilience.recovery`): ``True`` enables the default
+        :class:`~repro.resilience.policy.SupervisePolicy`, a policy
         instance tunes it, ``None``/``False`` (default) disables.  Can
         be overridden per executor or per run.
     tracer:
@@ -175,7 +175,7 @@ class Session:
         self.regions = regions
         self.part_size = part_size
         self.shard_threshold = shard_threshold
-        from repro.supervise.supervisor import as_supervise_policy
+        from repro.resilience.policy import as_supervise_policy
 
         self.supervise = as_supervise_policy(supervise)
         self.tracer = tracer
@@ -288,7 +288,7 @@ class Session:
             shard_threshold=shard_threshold,
         )
         from repro.core.scheduling import SchedGreedy
-        from repro.supervise.supervisor import as_supervise_policy
+        from repro.resilience.policy import as_supervise_policy
 
         if supervise is False:
             sup = None
@@ -370,10 +370,10 @@ class Session:
         permanently failed variant no longer aborts the batch, and
         dependents re-plan onto surviving donors.
 
-        ``supervise`` attaches the self-healing supervisor (heartbeat
+        ``supervise`` turns on self-healing supervision (heartbeat
         monitoring, risk-gated remediation, graceful degradation — see
-        :mod:`repro.supervise`): ``True`` for the default policy, a
-        :class:`~repro.supervise.supervisor.SupervisePolicy` to tune
+        :mod:`repro.resilience.recovery`): ``True`` for the default policy, a
+        :class:`~repro.resilience.policy.SupervisePolicy` to tune
         it, ``False`` to switch off an executor/session default.
         Supervision implies a resilient run.
         """

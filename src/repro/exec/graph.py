@@ -4,10 +4,11 @@ A batch runs in three steps.  The scheduler plans the variant queue;
 :func:`~repro.core.taskgraph.lower_variants` lowers it into a DAG of
 variant, shard and merge tasks; :class:`GraphRuntime` runs the DAG in
 one ready-queue loop.  The loop owns everything that happens when a
-unit finishes: registry and result bookkeeping, the shard merge,
-retries, supervisor decisions, the degradation ladder and the ``task``
-spans.  Where and on which clock a unit runs is the business of a
-*substrate* (:data:`SUBSTRATES`):
+unit finishes: registry and result bookkeeping, the shard merge, the
+``task`` spans, and executing what
+:meth:`~repro.resilience.recovery.Recovery.on_failure` decides for a
+failed unit (retry, degrade one rung, or fail).  Where and on which
+clock a unit runs is the business of a *substrate* (:data:`SUBSTRATES`):
 
 ``sim``
     Inline, on ``T`` virtual workers and the modeled work-unit clock.
@@ -93,18 +94,11 @@ from repro.resilience.faults import (
     BoundFaultPlan,
     FaultSpec,
     allow_kill_faults,
-    corrupt_result,
     verify_result,
 )
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.report import VariantStatus
-from repro.resilience.runner import EVENT_RETRY, ResilientRunner
-from repro.supervise.signals import PulseHandle, worker_pulse
-from repro.supervise.supervisor import (
-    SupervisePolicy,
-    Supervisor,
-    as_supervise_policy,
-)
+from repro.resilience.policy import RetryPolicy, SupervisePolicy, as_supervise_policy
+from repro.resilience.recovery import EVENT_RETRY, Recovery, Step
+from repro.supervise.signals import PulseHandle, WorkerPulse, worker_pulse
 from repro.util.tracing import SPAN_TASK, SpanRecord, Tracer, set_tracer
 from repro.util.validation import check_positive_int
 
@@ -280,11 +274,52 @@ class _LaneEnv:
     deadline_s: float | None
 
 
+def _run_chain(
+    recovery: Recovery,
+    order: list[Variant],
+    registry: CompletedRegistry,
+    *,
+    pulse: WorkerPulse | None = None,
+    force_scratch: bool = False,
+    **execute,
+):
+    """The one serial chain loop: lane chain workers and degraded rungs.
+
+    Runs ``order`` front to back, each variant through the attempt loop
+    (:meth:`Recovery.execute`, which takes the ``execute`` keywords)
+    reusing from ``registry``, and yields ``(variant, result, record)``.
+    A variant that failed for good yields ``(variant, None, None)``;
+    the caller decides whether the chain goes on (its dependents then
+    re-plan) or stops.  Records are stamped on the chain's modeled
+    clock, and completed variants join ``registry`` at their finish.
+    """
+    clock = 0.0
+    for variant in order:
+        if pulse is not None:
+            # Beat *before* the attempt: a stall fault freezes the
+            # counter mid-task, which is exactly what the parent's
+            # HealthMonitor is looking for.
+            pulse.beat(f"variant:{variant.eps:g}/{variant.minpts}")
+        result, record = recovery.execute(
+            PlannedVariant(variant, force_scratch=force_scratch),
+            registry,
+            concurrency=1,
+            **execute,
+        )
+        if result is not None:
+            record.start, record.thread_id = clock, 0
+            clock += record.response_time
+            record.finish = clock
+            registry.add(variant, result, finished_at=clock)
+        yield variant, result, record
+
+
 def _chain_worker(
     env: _LaneEnv,
     variant_tuples: list[tuple[float, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
     fault_plan: BoundFaultPlan | None,
+    offset: int,
     pulse: PulseHandle | None,
 ):
     """Run one reuse chain serially, in its order, inside a lane worker.
@@ -301,15 +336,14 @@ def _chain_worker(
     back as plain records (``perf_counter`` is system-wide, so they
     need no rebase).
 
-    The parent ships its retry policy, the already-bound fault plan
-    (re-keyed by the chain's submission count, see
-    :meth:`BoundFaultPlan.shifted`) and the checkpoint root; the
-    in-worker :class:`ResilientRunner` runs the same recovery loop as
-    every other substrate.  ``kill`` faults are armed here — and only in
-    workers — so they genuinely terminate a worker process without ever
-    taking down an in-process caller.  Returns the ``(result, record)``
-    pairs stamped on the batch wall window, the worker's report and its
-    spans.
+    The parent ships its retry policy, the bound fault plan, the
+    chain's submission count ``offset`` and the checkpoint root; the
+    chain runs through :func:`_run_chain` under the worker's own
+    :class:`Recovery`, the same loop a degraded rung runs in the parent.
+    ``kill`` faults are armed here — and only in workers — so they
+    genuinely terminate a worker process without ever taking down an
+    in-process caller.  Returns the ``(result, record)`` pairs stamped
+    on the batch wall window, the worker's report and its spans.
     """
     allow_kill_faults(True)
     tracer = Tracer() if env.trace else None
@@ -362,36 +396,22 @@ def _chain_worker(
             factory=IndexFactory(),
             **({"tracer": tracer} if tracer is not None else {}),
         )
-        runner = ResilientRunner(ctx, VariantSet(order))
+        recovery = Recovery(ctx, VariantSet(order))
         registry = CompletedRegistry()
-        done = runner.resume_into(registry, results, records)
+        done = recovery.resume_into(registry, results, records)
         # Sharded donors completed before this chain was even submitted;
         # t = 0 makes them eligible for the whole chain.  They are *not*
         # part of the worker's variant set (resume/record bookkeeping
         # iterates the set), only reuse sources.
         for (e, m), donor_result in donors:
             registry.add(Variant(e, m), donor_result, finished_at=0.0)
-        clock = 0.0
-        for variant in order:
-            if variant in done:
-                continue
-            if hb is not None:
-                # Beat *before* the attempt: a stall fault freezes the
-                # counter mid-task, which is exactly what the parent's
-                # HealthMonitor is looking for.
-                hb.beat(f"variant:{variant.eps:g}/{variant.minpts}")
-            result, record = runner.execute(
-                PlannedVariant(variant), registry, concurrency=1
-            )
-            if result is None:  # permanent failure: skip, chain continues
-                continue
-            record.start = clock
-            clock += record.response_time
-            record.finish = clock
-            record.thread_id = 0
-            registry.add(variant, result, finished_at=clock)
-            results[variant] = result
-            records.append(record)
+        todo = [v for v in order if v not in done]
+        for variant, result, record in _run_chain(
+            recovery, todo, registry, pulse=hb, offset=offset
+        ):
+            if result is not None:  # else: failed for good, chain goes on
+                results[variant] = result
+                records.append(record)
         if tracer is not None:
             _trace_search_stats(tracer, cache, outcomes)
     finally:
@@ -408,7 +428,7 @@ def _chain_worker(
     finish = time.perf_counter() - env.t0
     # Re-stamp the work-unit timestamps onto the worker's wall window.
     span = finish - start
-    total = clock or 1.0
+    total = max((r.finish for r in records), default=0.0) or 1.0
     for rec in records:
         rec.start = start + rec.start / total * span
         rec.finish = start + rec.finish / total * span
@@ -417,7 +437,7 @@ def _chain_worker(
     if tracer is not None:
         spans = tracer.drain()
         set_tracer(None)
-    return [(results[r.variant], r) for r in records], runner.report(), spans
+    return [(results[r.variant], r) for r in records], recovery.finalize(), spans
 
 
 def _shard_worker(
@@ -541,7 +561,7 @@ class _Job:
     """One dispatched unit: a whole chain, or one region of a pipe."""
 
     unit: _Chain | _Pipe
-    label: str  # task id / supervisor label
+    label: str  # task id
     region: int = -1
     stamp: int = 0  # pipe attempt at dispatch (staleness check)
     slot: int = -1
@@ -720,13 +740,12 @@ class _Lane:
 class _Lanes(_Wall):
     """Process lanes: chain and shard workers over shared memory.
 
-    Chains keep one submission counter each; a resubmission re-keys the
-    fault plan with :meth:`BoundFaultPlan.shifted` so already-fired
-    faults stay fired.  With a :class:`Supervisor`, every lane gets one
-    heartbeat-mailbox slot, :meth:`wait` polls the monitor between
-    futures, and a stale lane is killed and its job failed.  A job past
-    its deadline budget is killed the same way (a wedged worker never
-    joins).
+    Chains keep one submission counter each and ship it to the worker,
+    so faults planned for earlier submissions stay fired.  Under
+    supervision every lane gets one heartbeat-mailbox slot, :meth:`wait`
+    polls between futures, and a stale lane the recovery table admits a
+    respawn for is killed and its job failed.  A job past its deadline
+    budget is killed the same way (a wedged worker never joins).
     """
 
     thread = "lane"
@@ -766,22 +785,22 @@ class _Lanes(_Wall):
             cost_model=ctx.cost_model,
             cache_bytes=ctx.cache.capacity_bytes if ctx.cache is not None else 0,
             outcomes=ctx.outcomes is not None,
-            retry_policy=d.runner.policy,
+            retry_policy=d.recovery.policy,
             checkpoint_root=(
                 str(ctx.checkpoint.root) if ctx.checkpoint is not None else None
             ),
-            deadline_s=d.deadline,
+            deadline_s=d.recovery.deadline_s,
         )
         for _ in range(self.n_lanes):
             self.lanes.append(_Lane())
-        if d.supervisor is not None:
-            self.mailbox = d.supervisor.open_mailbox(self.n_lanes)
+        if d.recovery.monitor is not None:
+            self.mailbox = d.recovery.open_mailbox(self.n_lanes)
 
     def close(self) -> None:
         for lane in self.lanes:
             lane.close()
         if self.mailbox is not None:
-            self.d.supervisor.close_mailbox()
+            self.d.recovery.close_mailbox()
         if self.idx_shm is not None:
             # The pack exists only for this batch; remove it even when
             # a worker raised.  (The point segment belongs to the
@@ -803,24 +822,24 @@ class _Lanes(_Wall):
             if v in d.results:
                 donors.append((v.as_tuple(), d.results[v]))
             elif (
-                d.supervisor is not None
+                d.recovery.supervise is not None
                 and dep in d.failed
                 and (unit.gid, dep) not in self.replan_noted
             ):
                 # The donor died permanently; the worker's registry
                 # re-plans the chain onto surviving donors / scratch.
                 self.replan_noted.add((unit.gid, dep))
-                d.supervisor.on_replanned(
-                    unit.label, dep, blast_radius=len(unit.planned) / d.n_tasks
+                d.recovery.replanned(
+                    unit.label, dep, len(unit.planned) / d.n_tasks
                 )
         return donors
 
     def start(self, job: _Job) -> None:
-        d = self.d
+        d, rec = self.d, self.d.recovery
         lane = job.slot = self.free_lanes.pop()
         pool = self.lanes[lane].pool
         pulse = self.mailbox.handle(lane) if self.mailbox is not None else None
-        deadline = d.deadline
+        deadline = rec.deadline_s
         if job.shard:
             pipe = job.unit
             budget = deadline
@@ -830,22 +849,20 @@ class _Lanes(_Wall):
             )
         else:
             unit = job.unit
-            plan = d.runner.faults
-            if plan is not None and unit.submissions > 0:
-                plan = plan.shifted(unit.submissions)
             budget = (
-                deadline * len(unit.planned) * d.max_attempts
+                deadline * len(unit.planned) * rec.max_attempts
                 if deadline is not None
                 else None
             )
             variants = [v.as_tuple() for v in unit.variants]
             fut = pool.submit(
-                _chain_worker, self.env, variants, self._donors(unit), plan, pulse
+                _chain_worker, self.env, variants, self._donors(unit),
+                rec.faults, unit.submissions, pulse,
             )
         if budget is not None:
             job.deadline = time.monotonic() + budget + 30.0
-        if d.supervisor is not None:
-            d.supervisor.job_started(lane, job.label, deadline_s=deadline)
+        if rec.monitor is not None:
+            rec.monitor.job_started(lane, job.label, deadline_s=deadline)
         self.inflight[fut] = job
 
     def _release(self, fut: Future, *, respawn: bool = False, hung: bool = False) -> _Job:
@@ -853,30 +870,30 @@ class _Lanes(_Wall):
         if respawn:
             self.lanes[job.slot].respawn(hung=hung)
         self.free_lanes.append(job.slot)
-        if self.d.supervisor is not None:
-            self.d.supervisor.job_finished(job.slot)
+        if self.d.recovery.monitor is not None:
+            self.d.recovery.monitor.job_finished(job.slot)
         return job
 
     def wait(self) -> list:
-        sup = self.d.supervisor
+        rec = self.d.recovery
         now = time.monotonic()
         waits = [
             j.deadline - now for j in self.inflight.values() if j.deadline is not None
         ]
-        if sup is not None:
-            waits.append(sup.policy.poll_interval_s)
+        if rec.supervise is not None:
+            waits.append(rec.supervise.poll_interval_s)
         timeout = max(0.0, min(waits)) if waits else None
         done, _ = wait(self.inflight, timeout=timeout, return_when=FIRST_COMPLETED)
         out: list = []
-        if sup is not None:
-            # Applied stuck-task remediations: kill the stale lane and
-            # fail the job (the dispatcher resubmits or degrades).
-            for rec in sup.poll():
+        if rec.supervise is not None:
+            # Respawns the table admits: kill the stale lane and fail
+            # the job (its failure then takes the table's transition).
+            for label in rec.poll():
                 match = next(
                     (
                         f
                         for f, j in self.inflight.items()
-                        if j.label == rec.anomaly.subject and f not in done
+                        if j.label == label and f not in done
                     ),
                     None,
                 )
@@ -925,33 +942,22 @@ class _Dispatch:
         self,
         substrate: str,
         ctx: RunContext,
-        runner: ResilientRunner,
+        recovery: Recovery,
         graph: TaskGraph,
         base_plan: ShardPlan | None,
         registry: CompletedRegistry,
         results: dict,
         records: list,
-        supervisor: Supervisor | None,
     ) -> None:
+        self.substrate = substrate
         self.ctx = ctx
         self.tracer = ctx.tracer
-        self.runner = runner
+        self.recovery = recovery
         self.graph = graph
         self.registry = registry
         self.results = results
         self.records = records
-        self.supervisor = supervisor
-        policy = runner.policy
-        self.max_attempts = policy.max_attempts if policy is not None else 1
-        planned_kills = (
-            sum(1 for s in runner.faults.table.values() if s.kind == "kill")
-            if runner.faults
-            else 0
-        )
-        # A planned kill costs a submission without being a retry.
-        self.max_submissions = self.max_attempts + planned_kills
-        self.deadline = policy.deadline_s if policy is not None else None
-        self.n_tasks = max(len(graph), 1)
+        self.n_tasks = recovery.n_tasks
         self.resolved: set[str] = set()
         self.failed: set[str] = set()
         self.spans: list[SpanRecord] = []
@@ -1064,7 +1070,7 @@ class _Dispatch:
     # -- in-process execution (sim and threads) ----------------------------
     def shard_fault(self, job: _Job) -> FaultSpec | None:
         """The ``start``-phase fault to fire in this shard job, if any."""
-        faults, pipe = self.runner.faults, job.unit
+        faults, pipe = self.recovery.faults, job.unit
         if not faults:
             return None
         spec = faults.find(pipe.variant, pipe.attempt, "start")
@@ -1076,13 +1082,9 @@ class _Dispatch:
         """Run one job in this process: a whole variant or one region."""
         if not job.shard:
             (planned,) = job.unit.planned
-            return self.runner.execute(planned, self.registry, before=before)
+            return self.recovery.execute(planned, self.registry, before=before)
         pipe = job.unit
-        spec = self.shard_fault(job)
-        if spec is not None:
-            self.runner.faults.fire(
-                spec, deadline_s=self.deadline, started_at=time.perf_counter()
-            )
+        self.recovery.fire(self.shard_fault(job), time.perf_counter())
         return cluster_shard(
             self.ctx.points,
             pipe.plan,
@@ -1119,7 +1121,7 @@ class _Dispatch:
         unit = job.unit
         unit.running = False
         unit.done = True
-        if value is None:  # permanent failure, already in the runner's report
+        if value is None:  # failed for good, already in the recovery report
             return
         items, report, spans = value
         thread = f"{self.sub.thread}-{job.slot}"
@@ -1135,25 +1137,13 @@ class _Dispatch:
         if spans:
             self.tracer.add_records(spans, thread=f"worker-{unit.gid}")
         if report is not None:
-            if unit.submissions > 0:
-                # The whole chain re-ran after a worker death; its
-                # completions are retries even though the fresh worker
-                # saw attempt 0.
-                for o in report.outcomes.values():
-                    if o.status is VariantStatus.RESUMED:
-                        continue
-                    o.attempts += unit.submissions
-                    if o.status is VariantStatus.OK:
-                        o.status = VariantStatus.RETRIED
-            self.runner.merge_outcomes(report)
-        if self.supervisor is not None:
-            self.supervisor.task_done(unit.label, True)
+            self.recovery.merge_outcomes(report)
+        self.recovery.task_done(unit.label, True)
 
     def shard_done(self, job: _Job, piece, start, finish, spans) -> None:
         pipe = job.unit
         pipe.inflight.discard(job.region)
-        if self.supervisor is not None:
-            self.supervisor.task_done(job.label, True)
+        self.recovery.task_done(job.label, True)
         if pipe.done:
             return  # stale completion after a permanent failure
         # Shard work is deterministic, so a piece from a superseded
@@ -1169,59 +1159,90 @@ class _Dispatch:
             self.merge(pipe)
 
     def job_failed(self, job: _Job, error: BaseException | str) -> None:
+        """Account one failed job and execute the recovery table's verdict.
+
+        The one failure handler: a chain whose worker died or stalled, a
+        lost shard region, and a merge that raised or failed the audit
+        (``job`` is then the pipe's merge).  :meth:`Recovery.on_failure`
+        decides; this runs the transition — resubmit, re-run a rung
+        down (stepping further while rungs fail), or fail the unit.
+        """
+        rec, unit = self.recovery, job.unit
+        pipe = isinstance(unit, _Pipe)
+        merge = pipe and not job.shard
         if isinstance(error, BaseException):
-            if not self.runner.enabled:
+            if not rec.enabled:
                 raise error  # seed semantics: plain runs propagate
-            what = "shard worker" if job.shard else "worker"
-            error = f"{what} died: {type(error).__name__}: {error}"
-        sup = self.supervisor
-        if job.shard:
-            pipe = job.unit
-            pipe.inflight.discard(job.region)
-            if pipe.done or job.stamp != pipe.attempt:
+            error = f"{type(error).__name__}: {error}"
+            if not merge:
+                error = f"{'shard worker' if job.shard else 'worker'} died: {error}"
+        kind, task = "crash-loop", None
+        if pipe:
+            unit.inflight.discard(job.region)
+            if unit.done or job.stamp != unit.attempt:
                 return  # stale round: already accounted
-            pipe.attempt += 1
-            pipe.last_error = error
+            unit.attempt += 1
+            unit.last_error = error
+            where = {} if merge else {"regions": [job.region]}
             self.tracer.instant(
-                EVENT_RETRY,
-                variant=str(pipe.variant),
-                attempt=pipe.attempt,
-                regions=[job.region],
-                error=error,
+                EVENT_RETRY, variant=str(unit.variant), attempt=unit.attempt,
+                **where, error=error,
             )
-            submissions, radius = pipe.attempt, 1.0 / self.n_tasks
+            label, submissions = unit.merge_id, unit.attempt
+            radius = (1 + unit.n_regions) / self.n_tasks
+            rung = ("lowering", "shard")
+            if merge:
+                kind = "merge-corruption"
+                if self.ctx.kernel == "cellgraph":
+                    rung = ("kernel", "cellgraph")
+            else:
+                task = job.label
         else:
-            unit = job.unit
             unit.running = False
             unit.submissions += 1
-            submissions = unit.submissions
+            label, submissions = unit.label, unit.submissions
             radius = len(unit.planned) / self.n_tasks
-        exhausted = submissions >= self.max_submissions
-        if sup is not None and not exhausted and submissions >= 2:
-            # Second-and-later deaths of one unit are a crash loop: the
-            # supervisor gates each further resubmission.
-            rec = sup.on_crash(
-                job.label,
-                submissions=submissions,
-                budget=self.max_submissions,
-                blast_radius=radius,
+            rung = ("substrate", self.substrate)
+        while True:
+            verdict = rec.on_failure(
+                label, kind, submissions, radius, rung=rung, task=task, error=error
             )
-            exhausted = rec.decision != "applied"
-        if not exhausted:
-            return
-        if job.shard:
-            self.fail_pipe(job.unit, error)
-            return
-        if sup is not None and self.degrade_chain(job.unit):
-            return
-        self.runner.mark_failed_group(unit.variants, error, attempts=submissions)
+            if verdict.kind == "retry":
+                if merge:
+                    # A finish-phase fault damaged the merged result:
+                    # retry the whole variant (serial attempt semantics),
+                    # unlike worker deaths, which resubmit their region.
+                    unit.pieces = {}
+                return
+            if verdict.kind == "fail":
+                break
+            step = verdict.step
+            ok = self.run_degraded(unit, step, submissions)
+            rec.task_done(label, ok, step.label)
+            if pipe:
+                # A stuck region that forced the step is settled by the
+                # re-run; the shard tasks themselves never complete.
+                for r in range(unit.n_regions):
+                    rec.task_done(shard_task_id(unit.variant, r), ok, step.label)
+            if ok:
+                unit.done = True
+                if pipe:
+                    self.resolved.add(unit.merge_id)
+                return
+            # The failed rung used up an attempt budget; step further.
+            submissions += rec.max_attempts
+            kind, task, rung = "crash-loop", None, (step.axis, step.target)
+        rec.mark_failed(
+            [unit.variant] if pipe else unit.variants, error, attempts=submissions
+        )
         unit.done = True
-        if sup is not None:
-            sup.task_done(unit.label, False, error)
+        if pipe:
+            self.failed.add(unit.merge_id)
+        rec.task_done(label, False, error)
 
     def merge(self, pipe: _Pipe) -> None:
         """Stitch a pipe's pieces; verify, record and publish the result."""
-        ctx, runner, variant = self.ctx, self.runner, pipe.variant
+        ctx, rec, variant = self.ctx, self.recovery, pipe.variant
         wall0 = time.perf_counter()
         delta = WorkCounters()
         labels, core_mask = merge_shards(
@@ -1243,48 +1264,17 @@ class _Dispatch:
             elapsed=time.perf_counter() - pipe.started_at,
         )
         try:
-            if runner.faults:
-                spec = runner.faults.find(variant, pipe.attempt, "finish")
-                if spec is None:
-                    spec = runner.faults.find_task(
-                        pipe.merge_id, pipe.attempt, "finish"
-                    )
-                if spec is not None and spec.kind == "corrupt":
-                    corrupt_result(result)
-                elif spec is not None:
-                    runner.faults.fire(
-                        spec, deadline_s=self.deadline, started_at=pipe.started_at
-                    )
-            if runner.enabled:
+            if rec.faults:
+                rec.fire(
+                    rec.faults.find(variant, pipe.attempt, "finish")
+                    or rec.faults.find_task(pipe.merge_id, pipe.attempt, "finish"),
+                    pipe.started_at,
+                    result,
+                )
+            if rec.enabled:
                 verify_result(result, ctx.store.n_points)
         except Exception as exc:
-            if not runner.enabled:
-                raise
-            pipe.attempt += 1
-            pipe.last_error = f"{type(exc).__name__}: {exc}"
-            self.tracer.instant(
-                EVENT_RETRY,
-                variant=str(variant),
-                attempt=pipe.attempt,
-                error=pipe.last_error,
-            )
-            retry_ok = pipe.attempt < self.max_submissions
-            if self.supervisor is not None and retry_ok:
-                # Corruption retries are supervised decisions: the risk
-                # gate must admit the resubmission.
-                rec = self.supervisor.on_corruption(
-                    pipe.merge_id,
-                    pipe.last_error,
-                    blast_radius=(1 + pipe.n_regions) / self.n_tasks,
-                )
-                retry_ok = rec.decision == "applied"
-            if not retry_ok:
-                self.fail_pipe(pipe, pipe.last_error, axis_hint="kernel")
-            else:
-                # A finish-phase fault damaged the merged result: retry
-                # the whole variant (serial attempt semantics), unlike
-                # worker deaths, which only resubmit their own region.
-                pipe.pieces = {}
+            self.job_failed(_Job(pipe, pipe.merge_id, stamp=pipe.attempt), exc)
             return
         start, finish, tid = self.sub.stamp_merge(pipe, delta, wall0)
         first = min(s for _, s in pipe.pieces.values())
@@ -1313,183 +1303,70 @@ class _Dispatch:
         self.records.append(record)
         pipe.done = True
         self.resolved.add(pipe.merge_id)
-        if self.supervisor is not None:
-            self.supervisor.task_done(pipe.merge_id, True, "merge verified")
+        rec.task_done(pipe.merge_id, True, "merge verified")
         thread = f"sim-{tid}" if self.sub.clock == "modeled" else "parent"
         self.task_span("merge", pipe.merge_id, pipe.shard_ids, start, finish, thread)
-        if runner.checkpoint is not None:
-            runner.checkpoint.save(result)
-        runner.mark_done(variant, attempts=pipe.attempt + 1, error=pipe.last_error)
+        if rec.checkpoint is not None:
+            rec.checkpoint.save(result)
+        rec.mark_done(variant, attempts=pipe.attempt + 1, error=pipe.last_error)
 
-    # -- permanent failure and the degradation ladder ------------------------
-    def fail_pipe(
-        self, pipe: _Pipe, error: str, *, axis_hint: str | None = None
-    ) -> None:
-        if self.supervisor is not None and self.degrade_pipe(pipe, axis_hint):
-            return
-        self.runner.mark_failed_group([pipe.variant], error, attempts=pipe.attempt)
-        pipe.done = True
-        self.failed.add(pipe.merge_id)
-        if self.supervisor is not None:
-            self.supervisor.task_done(pipe.merge_id, False, error)
+    def run_degraded(self, unit: _Chain | _Pipe, step: Step, offset: int) -> bool:
+        """Execute a degrade transition: re-run ``unit`` one rung down.
 
-    def degrade_pipe(self, pipe: _Pipe, axis_hint: str | None) -> bool:
-        """Lower an exhausted pipe: shard→variant (or cellgraph→bfs)."""
-        sup, ctx = self.supervisor, self.ctx
-        assert sup is not None
-        if axis_hint == "kernel" and ctx.kernel == "cellgraph":
-            axis, rung = "kernel", ctx.kernel
+        A pipe re-runs its variant from scratch, as its shards did, at
+        variant lowering or on the bfs kernel.  A chain re-runs its
+        unfinished variants on a parent thread (the threads rung) or in
+        the parent itself (serial), seeded with exactly the donors a
+        fresh lane submission would see — its sharded donors and its own
+        completed prefix — and normalizing reuse distances over the
+        chain like its lane worker did; a wider pool could pick another
+        reuse source and permute cluster ids.  Faults planned for the
+        ``offset`` submissions already used stay fired.  Completed
+        variants join the batch marked with the step; returns whether
+        all completed.
+        """
+        pipe = isinstance(unit, _Pipe)
+        if pipe:
+            chain, donors = [unit.variant], []
         else:
-            axis, rung = "lowering", "shard"
-        _, step = sup.on_exhausted(
-            pipe.merge_id,
-            submissions=pipe.attempt,
-            budget=self.max_submissions,
-            blast_radius=(1 + pipe.n_regions) / self.n_tasks,
-            breaker_key=pipe.merge_id,
-            axis=axis,
-            rung=rung,
-        )
-        if step is None:
-            return False
-        kernel = "bfs" if axis == "kernel" else ctx.kernel
-        # Shard pipes compute from scratch; the variant-lowered re-run
-        # must too, or cluster ids permute under reuse.
-        ok, _used = self.run_inline(
-            [pipe.variant], pipe.attempt, kernel, step.label, force_scratch=True
-        )
-        sup.task_done(pipe.merge_id, ok, step.label)
-        for r in range(pipe.n_regions):
-            # Pending shard-level remediations (a stuck region that
-            # forced this lowering) are settled by the variant-level
-            # re-run — the shard tasks themselves never complete.
-            sup.task_done(shard_task_id(pipe.variant, r), ok, step.label)
-        if ok:
-            pipe.done = True
-            self.resolved.add(pipe.merge_id)
-        return ok
-
-    def degrade_chain(self, unit: _Chain) -> bool:
-        """Walk the substrate ladder for a chain out of submissions.
-
-        Only lane chains get here (in-process chains absorb failures in
-        the runner).  Each rung re-runs the chain's remaining variants
-        inline: the threads rung on a parent thread, the serial rung in
-        the parent itself, with no worker boundary left to fail.
-        """
-        sup = self.supervisor
-        assert sup is not None
-        rung = "lanes"
-        consumed = unit.submissions
-        while True:
-            _, step = sup.on_exhausted(
-                unit.label,
-                submissions=consumed,
-                budget=self.max_submissions,
-                blast_radius=len(unit.planned) / self.n_tasks,
-                breaker_key=unit.label,
-                axis="substrate",
-                rung=rung,
-            )
-            if step is None:
-                return False
-            remaining = [v for v in unit.variants if v not in self.results]
-            # Exactly what a fresh lane submission would see: the chain's
-            # sharded donors plus its own completed prefix — not the
-            # whole batch (a wider donor pool could pick a different
-            # reuse source and permute cluster ids).
-            donors = [
-                self.merge_variant[dep]
-                for dep in sorted(unit.deps)
-                if self.merge_variant[dep] in self.results
-            ] + [v for v in unit.variants if v in self.results]
-            args = (remaining, consumed, self.ctx.kernel, step.label)
-            if step.target == "threads":
-                out: list = []
-                th = threading.Thread(
-                    target=lambda: out.append(self.run_inline(*args, donors=donors)),
-                    name="degrade-runner",
-                )
-                th.start()
-                th.join()
-                ok, used = out[0] if out else (False, 1)
-            else:
-                ok, used = self.run_inline(*args, donors=donors)
-            sup.task_done(unit.label, ok, step.label)
-            if ok:
-                unit.done = True
-                return True
-            consumed += max(used, 1)
-            rung = step.target
-
-    def run_inline(
-        self,
-        order: list[Variant],
-        consumed: int,
-        kernel: str,
-        step_label: str,
-        *,
-        donors: list[Variant] = (),
-        force_scratch: bool = False,
-    ) -> tuple[bool, int]:
-        """Degraded-rung execution: run ``order`` serially in-parent.
-
-        The fault plan is shifted past the ``consumed`` submissions so
-        already-fired faults do not refire; completed variants land in
-        the shared results with a ``degraded`` outcome.  ``donors``
-        (seeded at t = 0) and ``force_scratch`` mirror the reuse
-        provenance the unit had on its original rung, so the degraded
-        labels stay byte-identical to a fault-free run.  Returns (all
-        completed, attempts used).
-        """
-        runner = self.runner
-        shifted = (
-            runner.faults.shifted(consumed)
-            if runner.faults and consumed > 0
-            else runner.faults
-        )
-        local_ctx = self.ctx.with_(
+            chain = unit.variants
+            donors = [self.merge_variant[dep] for dep in sorted(unit.deps)] + chain
+        registry = CompletedRegistry()
+        for v in donors:
+            if v in self.results:
+                registry.add(v, self.results[v], finished_at=0.0)
+        ctx = self.ctx.with_(
             scheduler=SchedGreedy(),
-            fault_plan=shifted,
-            retry_policy=runner.policy,
-            supervisor=None,
             n_threads=1,
-            kernel=kernel,
+            kernel="bfs" if step.axis == "kernel" else self.ctx.kernel,
         )
-        local_runner = ResilientRunner(local_ctx, VariantSet(order))
-        reg = CompletedRegistry()
-        for d in donors:
-            if d in self.results:
-                reg.add(d, self.results[d], finished_at=0.0)
-        used = 0
-        try:
-            for v in order:
-                planned = PlannedVariant(v, force_scratch=force_scratch)
-                v_start = time.perf_counter() - self.t0
-                result, record = local_runner.execute(planned, reg, concurrency=1)
-                outcome = local_runner.report().outcomes.get(v)
-                attempts = outcome.attempts if outcome is not None else 1
-                used += attempts
+        todo = [v for v in chain if v not in self.results]
+
+        def run() -> bool:
+            start = time.perf_counter() - self.t0
+            for v, result, record in _run_chain(
+                self.recovery, todo, registry, force_scratch=pipe,
+                ctx=ctx, vset=VariantSet(chain), offset=offset,
+            ):
                 if result is None:
-                    return False, used
+                    return False
                 now = time.perf_counter() - self.t0
-                record.start = v_start
-                record.finish = now
-                record.response_time = now - v_start
-                record.thread_id = -1
-                reg.add(v, result, finished_at=now)
+                record.start, record.finish, record.thread_id = start, now, -1
+                record.response_time = now - start
                 self.registry.add(v, result, finished_at=now)
                 self.results[v] = result
                 self.records.append(record)
-                runner.mark_done(
-                    v,
-                    attempts=consumed + attempts,
-                    error=outcome.error if outcome is not None else None,
-                    degraded=step_label,
-                )
-        except Exception:
-            return False, used + 1
-        return True, used
+                self.recovery.mark_degraded(v, step.label)
+                start = now
+            return True
+
+        if step.target != "threads":
+            return run()
+        out: list[bool] = []
+        th = threading.Thread(target=lambda: out.append(run()), name="degrade-runner")
+        th.start()
+        th.join()
+        return bool(out) and out[0]
 
 
 class GraphRuntime:
@@ -1512,11 +1389,11 @@ class GraphRuntime:
         self, ctx: RunContext, variants: VariantSet, *, mode: str = "variant"
     ) -> BatchResult:
         tracer = ctx.tracer
-        runner = ResilientRunner(ctx, variants)
+        recovery = Recovery(ctx, variants)
         registry = CompletedRegistry()
         results: dict[Variant, ClusteringResult] = {}
         records: list[VariantRunRecord] = []
-        done = runner.resume_into(registry, results, records)
+        done = recovery.resume_into(registry, results, records)
         plan = [
             p for p in ctx.scheduler.plan(variants) if p.variant not in done
         ]
@@ -1548,27 +1425,19 @@ class GraphRuntime:
                 axis=base_plan.axis,
                 n=ctx.store.n_points,
             )
-        supervisor = None
-        if ctx.supervisor is not None:
-            supervisor = Supervisor(
-                ctx.supervisor, tracer=tracer, n_tasks=max(len(graph), 1)
-            )
+        recovery.n_tasks = max(len(graph), 1)
         if len(graph):
             _Dispatch(
-                self.substrate, ctx, runner, graph, base_plan,
-                registry, results, records, supervisor,
+                self.substrate, ctx, recovery, graph, base_plan,
+                registry, results, records,
             ).run()
         makespan = max((r.finish for r in records), default=0.0)
         batch_record = BatchRunRecord(
             records=records, n_threads=ctx.n_threads, makespan=makespan
         )
-        report = runner.report()
-        if supervisor is not None:
-            # Dangling verifications fail, orphans are reclaimed.
-            supervisor.finalize()
-            if report is not None:
-                report.remediations.extend(supervisor.records)
-        return BatchResult(results=results, record=batch_record, report=report)
+        return BatchResult(
+            results=results, record=batch_record, report=recovery.finalize()
+        )
 
 
 # --------------------------------------------------------------------------

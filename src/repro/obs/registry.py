@@ -196,8 +196,8 @@ class MetricsRegistry:
     def resilience_events(self) -> dict[str, int]:
         """Counts of the recovery loop's instant events, when any fired.
 
-        Keys are the event names emitted by
-        :class:`~repro.resilience.runner.ResilientRunner`
+        Keys are the event names emitted by the attempt loop of
+        :class:`~repro.resilience.recovery.Recovery`
         (``variant_retry`` / ``variant_timeout`` / ``variant_failed`` /
         ``variant_resumed``); events that never fired are omitted.
         """
@@ -214,10 +214,10 @@ class MetricsRegistry:
         return out
 
     def supervise_events(self) -> dict[str, int]:
-        """Counts of supervisor decision/verify instants, when any fired.
+        """Counts of remediation decision/verify instants, when any fired.
 
         Keys are the ``supervise.*`` event names emitted by
-        :class:`~repro.supervise.supervisor.Supervisor` (``anomaly`` /
+        :class:`~repro.resilience.recovery.Recovery` (``anomaly`` /
         ``apply`` / ``recommend`` / ``suppress`` / ``verify``), with the
         prefix stripped; events that never fired are omitted.
         """

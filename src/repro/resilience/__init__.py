@@ -7,10 +7,13 @@ its chain.  This package makes worker failure a first-class event:
 * :mod:`~repro.resilience.faults` — deterministic fault injection
   (:class:`FaultPlan`) honored by every executor backend;
 * :mod:`~repro.resilience.policy` — per-variant deadlines and capped
-  exponential-backoff retries (:class:`RetryPolicy`);
-* :mod:`~repro.resilience.runner` — the shared recovery loop
-  (:class:`ResilientRunner`) that absorbs failures, re-plans
-  dependents onto surviving donors, and accounts outcomes;
+  exponential-backoff retries (:class:`RetryPolicy`), and the
+  supervision knobs (:class:`SupervisePolicy`);
+* :mod:`~repro.resilience.recovery` — the one recovery table
+  (:class:`Recovery`): the attempt loop, and the single decision of
+  what every failure leads to — retry, degrade down the ladder, or
+  fail (dependents re-plan onto surviving donors) — with outcome and
+  remediation accounting;
 * :mod:`~repro.resilience.report` — the partial-failure result
   contract (:class:`BatchReport` with per-variant
   :class:`VariantStatus`);
@@ -20,8 +23,8 @@ its chain.  This package makes worker failure a first-class event:
 * :mod:`~repro.resilience.audit` — shared-memory leak audit behind
   ``repro doctor``.
 
-See ``docs/ARCHITECTURE.md`` ("Failure model & recovery") for how the
-pieces compose per backend.
+See ``docs/ARCHITECTURE.md`` ("Failure model & recovery") for the
+transition table and why every path keeps labels canonically equal.
 """
 
 from repro.resilience.checkpoint import CheckpointStore
@@ -32,9 +35,9 @@ from repro.resilience.faults import (
     FaultSpec,
     verify_result,
 )
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import RetryPolicy, SupervisePolicy
+from repro.resilience.recovery import Recovery, classify_replans
 from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus
-from repro.resilience.runner import ResilientRunner, classify_replans
 
 __all__ = [
     "BatchReport",
@@ -43,8 +46,9 @@ __all__ = [
     "FAULT_PHASES",
     "FaultPlan",
     "FaultSpec",
-    "ResilientRunner",
+    "Recovery",
     "RetryPolicy",
+    "SupervisePolicy",
     "VariantOutcome",
     "VariantStatus",
     "classify_replans",

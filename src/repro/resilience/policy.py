@@ -1,10 +1,11 @@
-"""Per-variant deadlines and capped exponential-backoff retries.
+"""The recovery knobs: retry budgets and deadlines, and supervision.
 
-A :class:`RetryPolicy` is the single knob object the resilience layer
-reads: how many times a failed variant may be re-attempted, how long
-each attempt may run, and how long to back off between attempts.  It is
-immutable and picklable so process-pool workers enforce the same policy
-the parent configured.
+A :class:`RetryPolicy` says how many times a failed variant may be
+re-attempted, how long each attempt may run, and how long to back off
+between attempts; a :class:`SupervisePolicy` turns on self-healing
+supervision and sets its risk budget and heartbeat timing.  Both are
+immutable and picklable, and both are read only by
+:class:`repro.resilience.recovery.Recovery`.
 
 Deadline semantics are **cooperative best-effort** for in-process
 backends: an attempt's wall time is measured around the variant kernel
@@ -21,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.errors import ValidationError
-from repro.util.rng import derive_rng, resolve_rng
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RetryPolicy", "SupervisePolicy", "as_supervise_policy"]
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,9 @@ class RetryPolicy:
         ``min(base * factor**attempt, max)`` seconds.  The default base
         of 0 disables sleeping, which is what deterministic test runs
         want; production sweeps over flaky storage set a real base.
-    backoff_jitter:
-        Fraction in ``[0, 1]`` by which each sleep is randomly
-        *shortened* (full-jitter downward), decorrelating shard-retry
-        stampedes against a freshly respawned pool.  0 (the default)
-        keeps backoff purely deterministic.
-    backoff_seed:
-        Seed for the jitter stream.  With a seed set, the draw for a
-        given ``(key, attempt)`` is bit-reproducible (tests); ``None``
-        draws fresh OS entropy per sleep (production decorrelation).
-        Jitter never touches the wallclock for randomness — every draw
-        goes through :func:`repro.util.rng.resolve_rng`.
+        Only the attempt loop sleeps (in process, or inside a lane
+        chain worker); shard, merge and lane resubmissions go back on
+        the ready queue at once.
     """
 
     max_retries: int = 2
@@ -63,8 +55,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.0
     backoff_factor: float = 2.0
     backoff_max_s: float = 1.0
-    backoff_jitter: float = 0.0
-    backoff_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -81,38 +71,74 @@ class RetryPolicy:
             raise ValidationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValidationError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
-            )
-        if self.backoff_seed is not None and self.backoff_seed < 0:
-            raise ValidationError(
-                f"backoff_seed must be >= 0 (SeedSequence entropy), "
-                f"got {self.backoff_seed}"
-            )
 
     @property
     def max_attempts(self) -> int:
         """Total executions allowed per variant (first try + retries)."""
         return self.max_retries + 1
 
-    def backoff_s(self, attempt: int, *, key: int = 0) -> float:
-        """Seconds to wait before re-running after failed ``attempt``.
-
-        ``key`` identifies the retrying task (canonical variant index,
-        or region index for shard retries) so concurrent retries of the
-        same attempt draw *different* jitter from the same seed.
-        """
+    def backoff_s(self, attempt: int) -> float:
+        """Seconds to wait before re-running after failed ``attempt``."""
         if self.backoff_base_s <= 0.0:
             return 0.0
-        base = min(
+        return min(
             self.backoff_base_s * self.backoff_factor ** attempt,
             self.backoff_max_s,
         )
-        if self.backoff_jitter <= 0.0:
-            return base
-        if self.backoff_seed is None:
-            rng = resolve_rng(None)
-        else:
-            rng = derive_rng(self.backoff_seed, key, max(attempt, 0))
-        return base * (1.0 - self.backoff_jitter * float(rng.random()))
+
+
+@dataclass(frozen=True)
+class SupervisePolicy:
+    """Self-healing supervision knobs for one run.
+
+    Attributes
+    ----------
+    risk_budget:
+        Risk-gate ceiling in ``[0, 1]``: actions scoring at or below it
+        are auto-applied, the rest are recorded as recommendations.
+        The default admits respawn/resubmit/reclaim but leaves
+        ``degrade`` (0.6+) to the operator; pass 1.0 for fully
+        autonomous degradation.
+    stall_timeout_s:
+        Parent-side heartbeat staleness threshold: a lane whose slot
+        sequence has not moved for this long while a task is in flight
+        is declared stuck.
+    poll_interval_s:
+        Upper bound on how long the runtime's dispatch loop waits
+        between heartbeat polls.
+    """
+
+    risk_budget: float = 0.5
+    stall_timeout_s: float = 5.0
+    poll_interval_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.risk_budget <= 1.0:
+            raise ValidationError(
+                f"risk_budget must be in [0, 1], got {self.risk_budget}"
+            )
+        if self.stall_timeout_s <= 0:
+            raise ValidationError(
+                f"stall_timeout_s must be positive, got {self.stall_timeout_s}"
+            )
+        if self.poll_interval_s <= 0:
+            raise ValidationError(
+                f"poll_interval_s must be positive, got {self.poll_interval_s}"
+            )
+
+
+def as_supervise_policy(value) -> SupervisePolicy | None:
+    """Normalize the user-facing ``supervise`` knob.
+
+    ``None`` / ``False`` → off, ``True`` → defaults, a
+    :class:`SupervisePolicy` passes through.
+    """
+    if value is None or value is False:
+        return None
+    if value is True:
+        return SupervisePolicy()
+    if isinstance(value, SupervisePolicy):
+        return value
+    raise TypeError(
+        f"supervise must be a bool or SupervisePolicy, got {value!r}"
+    )

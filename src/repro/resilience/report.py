@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from repro.core.variants import Variant
 
 if TYPE_CHECKING:  # upper layer; imported for annotations only (no cycle)
-    from repro.supervise.remedy import RemediationRecord
+    from repro.resilience.recovery import RemediationRecord
 
 __all__ = ["BatchReport", "VariantOutcome", "VariantStatus"]
 
@@ -66,9 +66,9 @@ class VariantOutcome:
         For ``replanned`` variants, the failed static donor the
         variant was originally planned to reuse.
     degraded:
-        Ladder step label (e.g. ``"substrate:lanes→serial"``) when the
-        supervisor completed this variant by stepping it down the
-        graceful-degradation ladder instead of failing the batch;
+        Ladder step label (e.g. ``"substrate:lanes→serial"``) when a
+        supervised run completed this variant by stepping it down the
+        degradation ladder instead of failing it;
         ``None`` for variants that ran at the planned lowering.
     """
 
@@ -88,9 +88,9 @@ class BatchReport:
     — including permanently failed variants, which are absent from
     :attr:`~repro.exec.base.BatchResult.results`.  When a run was
     supervised, ``remediations`` additionally lists every anomaly the
-    supervisor detected with the proposed action, its risk score, the
-    risk-gate decision, and the verifier outcome (see
-    :class:`repro.supervise.remedy.RemediationRecord`).
+    recovery table met with its action, the action's risk score, the
+    risk-gate decision, and the verification outcome (see
+    :class:`repro.resilience.recovery.RemediationRecord`).
     """
 
     outcomes: dict[Variant, VariantOutcome] = field(default_factory=dict)

@@ -13,14 +13,9 @@ purely parent-side: :class:`HealthMonitor` records *its own* clock
 whenever a slot's sequence number changes; a slot whose sequence has
 not moved for ``stall_timeout_s`` while a task is in flight is stale.
 
-The monitor folds four inputs into typed :class:`Signal` observations
-(classified into :class:`Anomaly` events by the detector in
-:mod:`repro.supervise.remedy`):
-
-* heartbeat staleness (the mailbox),
-* lane occupancy / submission exhaustion (runtime counters),
-* result-integrity failures (``verify_result`` rejections), and
-* shared-memory orphan scans (:func:`repro.resilience.audit.scan_segments`).
+The monitor is a source of signals only: it turns heartbeat staleness
+and deadline pressure into typed :class:`Anomaly` events, and
+:class:`repro.resilience.recovery.Recovery` decides what they lead to.
 
 Heartbeat *emission* is deliberately restricted: the only sanctioned
 way to obtain an emitter is :func:`worker_pulse`, and the executor
@@ -38,15 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.shm import attach_shm, create_shm, destroy_segment
-from repro.resilience.audit import SegmentInfo
 
 __all__ = [
     "ANOMALY_KINDS",
+    "DEADLINE_RISK_FRACTION",
     "Anomaly",
     "HealthMonitor",
     "HeartbeatMailbox",
     "PulseHandle",
-    "Signal",
     "WorkerPulse",
     "worker_pulse",
 ]
@@ -58,7 +52,7 @@ _SLOT_DTYPE = np.dtype(
     [("seq", np.int64), ("stamp", np.float64), ("task", np.int64)]
 )
 
-#: Classified anomaly kinds the detector emits (see remedy module).
+#: Anomaly kinds: the rows of :data:`repro.resilience.recovery.TABLE`.
 ANOMALY_KINDS = (
     "stuck-task",
     "crash-loop",
@@ -67,8 +61,9 @@ ANOMALY_KINDS = (
     "deadline-at-risk",
 )
 
-#: Signal sources the monitor folds together.
-SIGNAL_SOURCES = ("heartbeat", "counters", "integrity", "audit", "deadline")
+#: Fraction of the per-attempt deadline after which the variant in
+#: flight is flagged ``deadline-at-risk`` (advisory).
+DEADLINE_RISK_FRACTION = 0.8
 
 
 def task_token(task_id: str) -> int:
@@ -78,22 +73,8 @@ def task_token(task_id: str) -> int:
 
 
 @dataclass(frozen=True)
-class Signal:
-    """One raw health observation, before classification.
-
-    ``source`` is one of :data:`SIGNAL_SOURCES`; ``subject`` names the
-    observed entity (task id, lane label, or segment name).
-    """
-
-    source: str
-    subject: str
-    detail: str = ""
-    value: float = 0.0
-
-
-@dataclass(frozen=True)
 class Anomaly:
-    """A typed, classified health event (detector output).
+    """A typed health event.
 
     ``kind`` is one of :data:`ANOMALY_KINDS`; ``subject`` is the task /
     lane / segment concerned.
@@ -102,6 +83,10 @@ class Anomaly:
     kind: str
     subject: str
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in ANOMALY_KINDS:
+            raise ValueError(f"unclassifiable anomaly kind {self.kind!r}")
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "subject": self.subject, "detail": self.detail}
@@ -215,7 +200,7 @@ class _SlotState:
 
 
 class HealthMonitor:
-    """Folds heartbeats, counters, and audits into :class:`Signal` events.
+    """Turns heartbeats and deadlines into :class:`Anomaly` events.
 
     All timing uses the *parent's* ``perf_counter`` (injectable as
     ``clock`` for deterministic tests); worker stamps are never read
@@ -227,12 +212,10 @@ class HealthMonitor:
         mailbox: HeartbeatMailbox | None = None,
         *,
         stall_timeout_s: float = 5.0,
-        deadline_risk_fraction: float = 0.8,
         clock=time.perf_counter,
     ) -> None:
         self.mailbox = mailbox
         self.stall_timeout_s = stall_timeout_s
-        self.deadline_risk_fraction = deadline_risk_fraction
         self._clock = clock
         self._slots: dict[int, _SlotState] = {}
 
@@ -258,13 +241,16 @@ class HealthMonitor:
             state.running = False
 
     # -- polling ---------------------------------------------------------
-    def poll(self) -> list[Signal]:
-        """Heartbeat-staleness and deadline-at-risk signals, deduplicated.
+    def poll(self) -> list[Anomaly]:
+        """``stuck-task`` and ``deadline-at-risk`` anomalies, deduplicated.
 
         A stale slot is reported once per sequence value: a fresh beat
-        (or a job restart) re-arms the report.
+        (or a job restart) re-arms the report.  A beat also restarts the
+        deadline clock: a lane job may be a whole reuse chain, and the
+        per-attempt deadline is judged against the variant in flight
+        (workers beat as each variant starts), not the chain.
         """
-        signals: list[Signal] = []
+        anomalies: list[Anomaly] = []
         now = self._clock()
         for slot, state in self._slots.items():
             if not state.running:
@@ -273,82 +259,40 @@ class HealthMonitor:
                 seq = self.mailbox.seq(slot)
                 if seq != state.last_seq:
                     state.last_seq = seq
-                    state.changed_at = now
-                    state.stale_reported = False
+                    state.changed_at = state.started_at = now
+                    state.stale_reported = state.at_risk_reported = False
                 elif (
                     not state.stale_reported
                     and now - state.changed_at > self.stall_timeout_s
                 ):
                     state.stale_reported = True
-                    signals.append(
-                        Signal(
-                            "heartbeat",
+                    anomalies.append(
+                        Anomaly(
+                            "stuck-task",
                             state.task_id,
                             detail=(
                                 f"lane {slot} heartbeat stale for "
                                 f"{now - state.changed_at:.2f}s "
                                 f"(timeout {self.stall_timeout_s:g}s)"
                             ),
-                            value=now - state.changed_at,
                         )
                     )
             if (
                 state.deadline_s is not None
                 and not state.at_risk_reported
                 and now - state.started_at
-                > self.deadline_risk_fraction * state.deadline_s
+                > DEADLINE_RISK_FRACTION * state.deadline_s
             ):
                 state.at_risk_reported = True
-                signals.append(
-                    Signal(
-                        "deadline",
+                anomalies.append(
+                    Anomaly(
+                        "deadline-at-risk",
                         state.task_id,
                         detail=(
                             f"elapsed {now - state.started_at:.2f}s exceeds "
-                            f"{self.deadline_risk_fraction:.0%} of the "
+                            f"{DEADLINE_RISK_FRACTION:.0%} of the "
                             f"{state.deadline_s:g}s deadline"
                         ),
-                        value=now - state.started_at,
                     )
                 )
-        return signals
-
-    # -- counter / integrity / audit folds ------------------------------
-    @staticmethod
-    def exhausted(task_id: str, submissions: int, budget: int) -> Signal:
-        """Submission budget exhausted: the task is crash-looping."""
-        return Signal(
-            "counters",
-            task_id,
-            detail=f"{submissions} submissions exhausted budget {budget}",
-            value=float(submissions),
-        )
-
-    @staticmethod
-    def crash_looping(task_id: str, deaths: int, budget: int) -> Signal:
-        """Repeated worker deaths for one task, budget not yet exhausted."""
-        return Signal(
-            "counters",
-            task_id,
-            detail=f"{deaths} consecutive worker deaths (budget {budget})",
-            value=float(deaths),
-        )
-
-    @staticmethod
-    def corruption(task_id: str, detail: str) -> Signal:
-        """A computed result failed the ``verify_result`` audit."""
-        return Signal("integrity", task_id, detail=detail)
-
-    @staticmethod
-    def orphan_signals(segments: list[SegmentInfo]) -> list[Signal]:
-        """One audit signal per orphaned shared-memory segment."""
-        return [
-            Signal(
-                "audit",
-                seg.name,
-                detail=f"creator pid {seg.pid} is dead ({seg.size} bytes)",
-                value=float(seg.size),
-            )
-            for seg in segments
-            if seg.orphaned
-        ]
+        return anomalies

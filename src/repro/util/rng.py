@@ -34,19 +34,6 @@ def resolve_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def derive_rng(seed: int, *keys: int) -> np.random.Generator:
-    """Derive a generator from a root seed plus integer path keys.
-
-    The same ``(seed, *keys)`` tuple always yields a bit-identical
-    stream, and distinct key paths yield statistically independent
-    streams — the seeded analogue of :func:`spawn_rngs` for call sites
-    that know their coordinates (e.g. retry-backoff jitter keyed by
-    task index and attempt number).
-    """
-    entropy = [int(seed), *(abs(int(k)) for k in keys)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     """Derive ``n`` statistically independent child generators.
 

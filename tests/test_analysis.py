@@ -280,7 +280,7 @@ _CONTRACT_MODULES = (
     "repro.exec.cost",
     "repro.core.taskgraph",
     "repro.supervise.signals",
-    "repro.supervise.remedy",
+    "repro.resilience.recovery",
 )
 
 
@@ -417,17 +417,29 @@ class TestExecutorContractRule:
     def test_adhoc_action_construction_is_flagged(self):
         sources = _shipped()
         sources["repro.resilience.rogue"] = (
-            "from repro.supervise.remedy import Action\n"
+            "from repro.resilience.recovery import Action\n"
             "FIX = Action('degrade', target='group:g0')\n"
         )
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
         assert "Action" in report.findings[0].message
-        assert "repro.supervise.remedy" in report.findings[0].message
+        assert "repro.resilience.recovery" in report.findings[0].message
+
+    def test_adhoc_record_construction_is_flagged(self):
+        merged = '        rec.task_done(pipe.merge_id, True, "merge verified")\n'
+        sources = _mutated(
+            "repro.exec.graph",
+            merged,
+            merged + '        rec.records.append(RemediationRecord("r9", None, None, "applied"))\n',
+        )
+        report = check(sources, [ExecutorContractRule])
+        assert rule_ids(report) == ["executor-contract"]
+        assert "RemediationRecord" in report.findings[0].message
+        assert "repro.resilience.recovery" in report.findings[0].message
 
     def test_proposer_registry_may_construct_actions(self):
         sources = _shipped()
-        sources["repro.supervise.remedy"] = (
+        sources["repro.resilience.recovery"] = (
             "class Action:\n"
             "    def __init__(self, kind, target=''):\n"
             "        self.kind = kind\n"

@@ -49,7 +49,7 @@ from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS, dependency_tree
 from repro.resilience.faults import corrupt_result, verify_result
 from repro.resilience.report import VariantOutcome
-from repro.resilience.runner import classify_replans
+from repro.resilience.recovery import classify_replans
 from repro.util.errors import (
     CorruptResultError,
     ReproError,

@@ -1,29 +1,29 @@
-"""Self-healing supervisor: heartbeats, remediation loop, chaos soak.
+"""Self-healing supervision: heartbeats, the recovery table, chaos soak.
 
-Covers the supervision subsystem end to end:
+Covers supervision end to end:
 
 * heartbeat plumbing — mailbox slots, worker pulses, and the
   parent-clock-only staleness rules of :class:`HealthMonitor`
-  (deterministic via an injected clock);
-* the remediation loop units — :class:`Detector` classification,
-  :class:`Proposer` candidates, :class:`RiskGate` thresholds,
-  :class:`Verifier` span pairing;
-* the graceful-degradation ladder — rung ordering per axis, floor
-  detection, and the :class:`CircuitBreaker`;
+  (deterministic via an injected clock), including the deadline
+  advisory judged against the variant in flight;
+* the recovery table — :data:`TABLE` rows, action risk, the inclusive
+  risk gate, verification spans, and what
+  :meth:`Recovery.on_failure` decides mid-budget and out of budget;
+* the degradation ladder — rung ordering per axis, floor detection,
+  and the breaker's strike count;
 * knob threading — ``supervise=`` on :class:`Session`, executor
   instances, and per-run overrides, normalized by
   :func:`as_supervise_policy`;
-* seeded retry-backoff jitter (never wallclock-derived);
 * the **chaos soak grid** — injected stalls, crash loops, merge
   corruption, and forced ladder descents across the lanes-substrate
   executors, asserting byte-identical labels against fault-free runs,
   zero leaked shared-memory segments, and an applied-action ↔
   verifier-span pairing for every auto-remediation;
-* the acceptance scenario from the issue — 12 variants, a stuck shard
-  worker, a crash-looping variant worker, an injected orphan segment,
-  and one merge corruption, healed without manual intervention;
-* ``repro doctor --watch`` / ``--json`` reusing the supervisor's
-  detector.
+* the acceptance scenario — 12 variants, a stuck shard worker, a
+  crash-looping variant worker, an injected orphan segment, and one
+  merge corruption, healed without manual intervention;
+* ``repro doctor --watch`` / ``--json`` sharing the recovery's orphan
+  classification.
 """
 
 from __future__ import annotations
@@ -39,31 +39,31 @@ import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, Variant, VariantSet
 from repro.obs.registry import MetricsRegistry
+from repro.resilience.audit import SegmentInfo
+from repro.resilience.recovery import (
+    ACTION_KINDS,
+    BASE_RISK,
+    BREAKER_STRIKES,
+    LADDER,
+    TABLE,
+    Action,
+    Recovery,
+    Step,
+    orphan_anomalies,
+)
 from repro.resilience.report import BatchReport
 from repro.supervise import (
-    ACTION_KINDS,
     ANOMALY_KINDS,
-    Action,
     Anomaly,
-    CircuitBreaker,
-    DEFAULT_LADDER,
-    DegradationLadder,
-    Detector,
     HealthMonitor,
     HeartbeatMailbox,
-    Proposer,
-    RiskGate,
-    Signal,
     SupervisePolicy,
-    Supervisor,
-    Verifier,
     as_supervise_policy,
     worker_pulse,
 )
-from repro.supervise.remedy import BASE_RISK
 from repro.supervise.signals import task_token
 from repro.util.errors import ValidationError
-from repro.util.rng import derive_rng, resolve_rng
+from repro.util.rng import resolve_rng
 from repro.util.tracing import Tracer
 
 
@@ -95,6 +95,10 @@ AUTONOMOUS = SupervisePolicy(
     risk_budget=1.0, stall_timeout_s=1.0, poll_interval_s=0.1
 )
 
+#: Ladder positions the unit tests fail from.
+LANES = ("substrate", "lanes")
+SHARD = ("lowering", "shard")
+
 
 def assert_byte_equal(batch, base, variants):
     for v in variants:
@@ -109,6 +113,24 @@ def remediation_kinds(report: BatchReport) -> set[str]:
 
 def applied_records(report: BatchReport):
     return [r for r in report.remediations if r.decision == "applied"]
+
+
+def _recovery(points, policy=AUTONOMOUS, *, tracer=None) -> Recovery:
+    """A supervised batch's recovery over VSET4 (default retry budget:
+    three submissions), for deciding failures without running any."""
+    with Session(points, tracer=tracer) as s:
+        ctx = s.context(supervise=policy)
+    return Recovery(ctx, VSET4)
+
+
+def _rungs(axis: str) -> tuple[str, ...]:
+    """The rungs of one ladder axis, most parallel first."""
+    targets = {t for (a, _), t in LADDER.items() if a == axis}
+    (head,) = {r for a, r in LADDER if a == axis} - targets
+    rungs = [head]
+    while (axis, rungs[-1]) in LADDER:
+        rungs.append(LADDER[axis, rungs[-1]])
+    return tuple(rungs)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +180,7 @@ class TestHeartbeats:
             assert mon.poll() == []  # within the timeout
             clock.advance(2.0)
             sigs = mon.poll()
-            assert [s.source for s in sigs] == ["heartbeat"]
+            assert [s.kind for s in sigs] == ["stuck-task"]
             assert sigs[0].subject == "group:g0"
             assert mon.poll() == []  # deduplicated until the seq moves
         finally:
@@ -194,96 +216,124 @@ class TestHeartbeats:
 
     def test_deadline_at_risk_is_advisory_and_once(self):
         clock = FakeClock()
-        mon = HealthMonitor(None, deadline_risk_fraction=0.8, clock=clock)
+        mon = HealthMonitor(None, clock=clock)
         mon.job_started(0, "shard:0.5/4#0", deadline_s=10.0)
         clock.advance(7.0)
         assert mon.poll() == []
         clock.advance(2.0)  # 9s elapsed > 80% of 10s
         sigs = mon.poll()
-        assert [s.source for s in sigs] == ["deadline"]
+        assert [s.kind for s in sigs] == ["deadline-at-risk"]
         assert mon.poll() == []
 
+    def test_beat_rearms_deadline_for_the_variant_in_flight(self):
+        # A lane job is a whole chain, but the deadline is per attempt:
+        # five quick variants must not add up to an advisory.
+        clock = FakeClock()
+        box = HeartbeatMailbox.create(1)
+        try:
+            mon = HealthMonitor(box, clock=clock)
+            mon.job_started(0, "group:0", deadline_s=1.0)
+            pulse = worker_pulse(box.handle(0))
+            for _ in range(5):
+                pulse.beat("variant")  # the next variant starts
+                clock.advance(0.5)
+                assert mon.poll() == []
+            clock.advance(0.9)  # one variant outlives 80% of its deadline
+            assert [a.kind for a in mon.poll()] == ["deadline-at-risk"]
+            pulse.close()
+        finally:
+            box.close()
+
     def test_static_folds_have_declared_sources(self):
-        assert HealthMonitor.exhausted("t", 3, 3).source == "counters"
-        assert HealthMonitor.crash_looping("t", 2, 5).source == "counters"
-        assert HealthMonitor.corruption("t", "bad").source == "integrity"
+        # Every anomaly kind is a row of the recovery table, and an
+        # orphaned segment classifies as a leak.
+        assert set(TABLE) == set(ANOMALY_KINDS)
+        orphan = SegmentInfo("repro_1_x", 64, pid=1, alive=False)
+        live = SegmentInfo("repro_2_y", 64, pid=2, alive=True)
+        assert [a.kind for a in orphan_anomalies([orphan, live])] == ["shm-leak"]
 
 
 # ----------------------------------------------------------------------
-# detector / proposer / risk gate / verifier
+# the recovery table
 # ----------------------------------------------------------------------
 class TestRemediationLoop:
     def test_classification_table(self):
-        det = Detector()
         cases = {
-            "heartbeat": "stuck-task",
-            "counters": "crash-loop",
-            "integrity": "merge-corruption",
-            "audit": "shm-leak",
-            "deadline": "deadline-at-risk",
+            "stuck-task": "respawn-lane",
+            "crash-loop": "resubmit-task",
+            "merge-corruption": "resubmit-task",
+            "shm-leak": "reclaim-segment",
+            "deadline-at-risk": "degrade",
         }
-        for source, kind in cases.items():
-            anomaly = det.classify(Signal(source, "subject"))
-            assert anomaly.kind == kind
-            assert anomaly.kind in ANOMALY_KINDS
+        for kind, action in cases.items():
+            assert TABLE[kind][0] == action
+            assert kind in ANOMALY_KINDS
+            assert action in ACTION_KINDS
 
     def test_unknown_source_raises(self):
         with pytest.raises(ValueError, match="unclassifiable"):
-            Detector().classify(Signal("vibes", "x"))
+            Anomaly("vibes", "x")
 
     def test_risk_is_base_plus_blast_radius_capped(self):
-        proposer = Proposer()
-        for kind, base in BASE_RISK.items():
+        for kind in BASE_RISK:
             assert kind in ACTION_KINDS
-        quarantine = proposer.quarantine("t", blast_radius=0.5)
+        quarantine = Action("quarantine", "t", blast_radius=0.5)
         assert quarantine.risk == 1.0  # 0.9 + 0.25 capped
-        reclaim = Proposer().propose(
-            Anomaly("shm-leak", "repro_x"), blast_radius=0.1
-        )[0]
+        reclaim = Action(TABLE["shm-leak"][0], "repro_x", blast_radius=0.1)
         assert reclaim.risk == pytest.approx(BASE_RISK["reclaim-segment"] + 0.05)
 
-    def test_gate_boundary_is_inclusive(self):
-        action = Proposer().propose(Anomaly("stuck-task", "t"))[0]
-        assert RiskGate(action.risk).decide(action) == "apply"
-        assert RiskGate(action.risk - 0.01).decide(action) == "recommend"
+    def test_gate_boundary_is_inclusive(self, points):
+        risk = Action("resubmit-task", "merge:0.5/4", blast_radius=0.1).risk
+        at = _recovery(points, SupervisePolicy(risk_budget=risk))
+        verdict = at.on_failure("merge:0.5/4", "merge-corruption", 1, 0.1, rung=SHARD)
+        assert verdict.kind == "retry"
+        assert at.records[0].decision == "applied"
+        below = _recovery(points, SupervisePolicy(risk_budget=risk - 0.01))
+        below.on_failure("merge:0.5/4", "merge-corruption", 1, 0.1, rung=SHARD)
+        assert below.records[0].decision == "recommended"
 
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="risk_budget"):
-            RiskGate(1.5)
+            SupervisePolicy(risk_budget=1.5)
 
-    def test_first_applicable_respects_order(self):
-        proposer = Proposer()
-        cheap = proposer.propose(Anomaly("shm-leak", "s"))[0]
-        pricey = proposer.quarantine("s")
-        gate = RiskGate(0.5)
-        assert gate.first_applicable([pricey, cheap]) is cheap
-        assert RiskGate(0.0).first_applicable([pricey, cheap]) is None
-
-    def test_crash_loop_proposal_depends_on_ladder_hint(self):
-        proposer = Proposer()
-        anomaly = Anomaly("crash-loop", "group:g0")
-        mid_budget = proposer.propose(anomaly)
-        assert [a.kind for a in mid_budget] == ["resubmit-task"]
-        exhausted = proposer.propose(
-            anomaly, ladder_hint="substrate:lanes→threads"
+    def test_first_applicable_respects_order(self, points):
+        # The gate admits the cheap resubmit and refuses the pricey
+        # degrade; a zero budget admits neither.
+        rec = _recovery(points, SupervisePolicy(risk_budget=0.5))
+        assert rec.on_failure("merge:m", "merge-corruption", 1, 0.1, rung=SHARD) == (
+            "retry", None
         )
-        assert [a.kind for a in exhausted] == ["degrade"]
-        assert "substrate:lanes→threads" in exhausted[0].detail
+        assert rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES).kind == "fail"
+        assert [r.decision for r in rec.records] == ["applied", "recommended"]
+        zero = _recovery(points, SupervisePolicy(risk_budget=0.0))
+        assert zero.on_failure("merge:m", "merge-corruption", 1, 0.1, rung=SHARD).kind == (
+            "fail"
+        )
+        assert [r.decision for r in zero.records] == ["recommended", "recommended"]
 
-    def test_register_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown anomaly kind"):
-            Proposer().register("gremlins", lambda a, b, h: [])
+    def test_crash_loop_proposal_depends_on_ladder_hint(self, points):
+        rec = _recovery(points)
+        mid_budget = rec.on_failure("group:g0", "crash-loop", 2, 0.1, rung=LANES)
+        assert mid_budget.kind == "retry"
+        assert [r.action.kind for r in rec.records] == ["resubmit-task"]
+        exhausted = rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES)
+        assert exhausted.kind == "degrade"
+        assert rec.records[-1].action.kind == "degrade"
+        assert "substrate:lanes→threads" in rec.records[-1].action.detail
 
-    def test_verifier_emits_paired_span(self):
+    def test_verifier_emits_paired_span(self, points):
         tracer = Tracer()
-        verifier = Verifier(tracer)
-        sup = Supervisor(SupervisePolicy(risk_budget=1.0), tracer=tracer)
-        rec = sup.on_corruption("merge:0.5/4", "bad labels", blast_radius=0.1)
-        assert rec.decision == "applied"
-        verifier.resolve(rec, True, "re-ran clean")
-        assert rec.verdict == "verified"
+        rec = _recovery(points, tracer=tracer)
+        verdict = rec.on_failure(
+            "merge:0.5/4", "merge-corruption", 1, 0.1, rung=SHARD, error="bad labels"
+        )
+        assert verdict.kind == "retry"
+        record = rec.records[0]
+        assert record.decision == "applied"
+        rec.task_done("merge:0.5/4", True, "re-ran clean")
+        assert record.verdict == "verified"
         verify = [r for r in tracer.records() if r.name == "supervise.verify"]
-        assert verify and verify[-1].args["rid"] == rec.rid
+        assert verify and verify[-1].args["rid"] == record.rid
         assert verify[-1].args["outcome"] == "verified"
 
 
@@ -292,78 +342,65 @@ class TestRemediationLoop:
 # ----------------------------------------------------------------------
 class TestLadder:
     def test_declared_rung_order(self):
-        ladder = DegradationLadder()
-        assert ladder.rungs("lowering") == ("hybrid", "shard", "variant")
-        assert ladder.rungs("kernel") == ("cellgraph", "bfs")
-        assert ladder.rungs("substrate") == ("lanes", "threads", "serial")
-        assert ladder.axes == ("kernel", "lowering", "substrate")
+        assert _rungs("lowering") == ("hybrid", "shard", "variant")
+        assert _rungs("kernel") == ("cellgraph", "bfs")
+        assert _rungs("substrate") == ("lanes", "threads", "serial")
+        assert sorted({a for a, _ in LADDER}) == ["kernel", "lowering", "substrate"]
 
     def test_next_step_and_floor(self):
-        ladder = DegradationLadder()
-        step = ladder.next_step("substrate", "lanes")
+        step = Step(*LANES, LADDER[LANES])
         assert (step.source, step.target) == ("lanes", "threads")
         assert step.label == "substrate:lanes→threads"
-        assert ladder.next_step("substrate", "serial") is None
-        assert ladder.floor("substrate") == "serial"
-        assert ladder.floor("lowering") == "variant"
+        assert ("substrate", "serial") not in LADDER
+        assert _rungs("substrate")[-1] == "serial"
+        assert _rungs("lowering")[-1] == "variant"
 
     def test_every_default_step_descends_its_axis(self):
-        ladder = DegradationLadder()
-        for step in DEFAULT_LADDER:
-            rungs = ladder.rungs(step.axis)
-            assert rungs.index(step.target) == rungs.index(step.source) + 1
+        for (axis, source), target in LADDER.items():
+            rungs = _rungs(axis)
+            assert rungs.index(target) == rungs.index(source) + 1
 
     def test_forked_ladder_rejected(self):
-        from repro.supervise.ladder import LadderStep
+        # The ladder maps each (axis, rung) to one next rung, so it
+        # cannot fork; each axis must also be one chain over all steps.
+        for axis in {a for a, _ in LADDER}:
+            steps = [key for key in LADDER if key[0] == axis]
+            assert len(_rungs(axis)) == len(steps) + 1
 
-        with pytest.raises(ValueError, match="chain"):
-            DegradationLadder(
-                (
-                    LadderStep("substrate", "lanes", "threads"),
-                    LadderStep("substrate", "lanes", "serial"),
-                )
-            )
+    def test_breaker_trips_at_threshold(self, points):
+        rec = _recovery(points)
+        for _ in range(BREAKER_STRIKES):
+            assert rec.on_failure("t", "crash-loop", 3, 0.1, rung=LANES).kind == "degrade"
+        assert rec.on_failure("t", "crash-loop", 3, 0.1, rung=LANES).kind == "fail"
+        assert rec.records[-1].decision == "suppressed"
+        assert rec.on_failure("other", "crash-loop", 3, 0.1, rung=LANES).kind == "degrade"
 
-    def test_breaker_trips_at_threshold(self):
-        breaker = CircuitBreaker(threshold=2)
-        assert not breaker.tripped("t")
-        assert breaker.record_failure("t") is False
-        assert breaker.record_failure("t") is True
-        assert breaker.tripped("t")
-        assert breaker.failures("t") == 2
-        assert not breaker.tripped("other")
+    def test_tripped_breaker_suppresses_and_quarantines(self, points):
+        rec = _recovery(points)
+        for _ in range(BREAKER_STRIKES):
+            rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES)
+        # Budget remains, but the quarantined subject gets no resubmit
+        # and no further ladder step.
+        verdict = rec.on_failure("group:g0", "crash-loop", 2, 0.1, rung=LANES)
+        assert verdict.kind == "fail" and verdict.step is None
+        assert [r.decision for r in rec.records[-2:]] == ["suppressed", "suppressed"]
+        assert rec.records[-1].action.kind == "quarantine"
 
-    def test_tripped_breaker_suppresses_and_quarantines(self):
-        pol = SupervisePolicy(risk_budget=1.0, breaker_threshold=1)
-        sup = Supervisor(pol)
-        sup.breaker.record_failure("group:g0")
-        rec, step = sup.on_exhausted(
-            "group:g0", submissions=3, budget=3, blast_radius=0.1
+    def test_exhaustion_walks_the_ladder(self, points):
+        rec = _recovery(points)
+        first = rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES)
+        assert rec.records[-1].decision == "applied"
+        assert rec.records[-1].action.kind == "degrade"
+        assert (first.step.source, first.step.target) == ("lanes", "threads")
+        second = rec.on_failure(
+            "group:g0", "crash-loop", 4, 0.1, rung=("substrate", "threads")
         )
-        assert step is None
-        assert rec.decision == "suppressed"
-        assert rec.action.kind == "quarantine"
-
-    def test_exhaustion_walks_the_ladder(self):
-        sup = Supervisor(SupervisePolicy(risk_budget=1.0))
-        rec, step = sup.on_exhausted(
-            "group:g0", submissions=3, budget=3, blast_radius=0.1,
-            axis="substrate", rung="lanes",
+        assert (second.step.source, second.step.target) == ("threads", "serial")
+        third = rec.on_failure(
+            "group:g0", "crash-loop", 5, 0.1, rung=("substrate", "serial")
         )
-        assert rec.decision == "applied" and rec.action.kind == "degrade"
-        assert (step.source, step.target) == ("lanes", "threads")
-        rec2, step2 = sup.on_exhausted(
-            "group:g0", submissions=4, budget=3, blast_radius=0.1,
-            axis="substrate", rung="threads",
-        )
-        assert (step2.source, step2.target) == ("threads", "serial")
-        rec3, step3 = sup.on_exhausted(
-            "group:g0", submissions=5, budget=3, blast_radius=0.1,
-            axis="substrate", rung="serial",
-        )
-        # Third strike trips the default breaker *and* serial is the
-        # floor; either way no step comes back.
-        assert step3 is None
+        # Serial is the floor: no step comes back.
+        assert third.step is None
 
 
 # ----------------------------------------------------------------------
@@ -386,10 +423,6 @@ class TestSuperviseKnob:
             SupervisePolicy(stall_timeout_s=0.0)
         with pytest.raises(ValidationError):
             SupervisePolicy(poll_interval_s=-1.0)
-        with pytest.raises(ValidationError):
-            SupervisePolicy(deadline_risk_fraction=0.0)
-        with pytest.raises(ValidationError):
-            SupervisePolicy(breaker_threshold=0)
 
     def test_session_default_threads_to_context(self, points):
         with Session(points, supervise=True) as s:
@@ -414,63 +447,33 @@ class TestSuperviseKnob:
 
 
 # ----------------------------------------------------------------------
-# seeded backoff jitter
-# ----------------------------------------------------------------------
-class TestBackoffJitter:
-    POLICY = RetryPolicy(backoff_base_s=0.2, backoff_jitter=0.5, backoff_seed=7)
-
-    def test_seeded_jitter_is_reproducible(self):
-        a = [self.POLICY.backoff_s(i, key=3) for i in range(3)]
-        b = [self.POLICY.backoff_s(i, key=3) for i in range(3)]
-        assert a == b
-
-    def test_distinct_keys_decorrelate(self):
-        assert self.POLICY.backoff_s(1, key=3) != self.POLICY.backoff_s(1, key=4)
-
-    def test_jitter_only_shortens(self):
-        plain = RetryPolicy(backoff_base_s=0.2)
-        for attempt in range(4):
-            base = plain.backoff_s(attempt)
-            jittered = self.POLICY.backoff_s(attempt, key=1)
-            assert base * (1 - 0.5) <= jittered <= base
-
-    def test_derive_rng_is_deterministic_per_path(self):
-        a = derive_rng(7, 3, 1).random(4)
-        b = derive_rng(7, 3, 1).random(4)
-        c = derive_rng(7, 4, 1).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-
-# ----------------------------------------------------------------------
 # report + registry surfacing
 # ----------------------------------------------------------------------
 class TestSurfacing:
-    def test_report_summary_counts_remediations(self):
-        sup = Supervisor(SupervisePolicy(risk_budget=1.0))
-        sup.on_corruption("merge:0.5/4", "bad", blast_radius=0.1)
+    def test_report_summary_counts_remediations(self, points):
+        rec = _recovery(points)
+        rec.on_failure("merge:0.5/4", "merge-corruption", 1, 0.1, rung=SHARD)
         report = BatchReport()
-        report.remediations.extend(sup.records)
+        report.remediations.extend(rec.records)
         assert "1 remediations (1 applied)" in report.summary()
         rows = report.remediation_rows()
         assert rows[0]["anomaly"]["kind"] == "merge-corruption"
         assert rows[0]["action"]["kind"] == "resubmit-task"
 
-    def test_registry_counts_supervise_events(self):
+    def test_registry_counts_supervise_events(self, points):
         tracer = Tracer()
-        sup = Supervisor(SupervisePolicy(risk_budget=1.0), tracer=tracer)
-        rec = sup.on_corruption("merge:0.5/4", "bad", blast_radius=0.1)
-        sup.task_done("merge:0.5/4", True, "re-ran clean")
-        sup.on_exhausted(
-            "group:g0", submissions=3, budget=3, blast_radius=0.9,
-        )
+        rec = _recovery(points, tracer=tracer)
+        rec.on_failure("merge:0.5/4", "merge-corruption", 1, 0.1, rung=SHARD)
+        record = rec.records[0]
+        rec.task_done("merge:0.5/4", True, "re-ran clean")
+        rec.on_failure("group:g0", "crash-loop", 3, 0.9, rung=LANES)
         reg = MetricsRegistry()
         reg.add_spans(tracer.records())
         events = reg.supervise_events()
         assert events["anomaly"] == 2
         assert events["apply"] >= 1
         assert events["verify"] == 1
-        assert rec.verdict == "verified"
+        assert record.verdict == "verified"
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +620,22 @@ class TestChaosSoak:
         assert batch.report.remediations
         assert not applied_records(batch.report)
         assert batch.report.failed
+
+
+    def test_deadline_advisory_judges_the_variant_not_the_chain(self, points):
+        # One lane runs a six-variant chain: each variant takes a quarter
+        # of the per-attempt deadline, the chain half again more than it.
+        chain = VariantSet([Variant(0.5 + 0.1 * i, 5) for i in range(6)])
+        plan = FaultPlan([FaultSpec("slow", i, hang_s=0.25) for i in range(6)])
+        with Session(points) as s:
+            batch = s.run(
+                chain, executor="processes", n_threads=1,
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_retries=0, deadline_s=1.0),
+                supervise=SupervisePolicy(poll_interval_s=0.05),
+            )
+        assert batch.report.complete
+        assert "deadline-at-risk" not in remediation_kinds(batch.report)
 
 
 # ----------------------------------------------------------------------
