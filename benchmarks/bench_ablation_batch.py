@@ -31,7 +31,6 @@ from repro.bench.snapshot import make_snapshot, write_snapshot
 from repro.core.scheduling import SchedMinpts
 from repro.data.registry import load_dataset
 from repro.engine import Session
-from repro.exec import Executor
 from repro.metrics.counters import WorkCounters
 
 from conftest import bench_scale
@@ -45,9 +44,8 @@ SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 
 def _run(points, vset, **kwargs):
-    ex = Executor("serial", scheduler=SchedMinpts(), **kwargs)
     with Session(points, dataset="SW1") as session:
-        return session.run(vset, executor=ex)
+        return session.run(vset, executor="serial", scheduler=SchedMinpts(), **kwargs)
 
 
 def test_ablation_batch_report(benchmark, report):

@@ -1,11 +1,10 @@
 """Ablation — executor substrates (wall-clock, honesty check).
 
 DESIGN.md substitutes the paper's OpenMP threads with (a) a simulated
-work-unit executor for figure reproduction, (b) real Python threads
-(GIL-limited), and (c) a process pool over statically partitioned reuse
-chains.  This bench measures the *actual wall-clock* behaviour of each,
-documenting how far CPython threads fall short (the reason the
-simulated executor exists) and that processes do scale.
+work-unit executor for figure reproduction and (b) a process pool over
+statically partitioned reuse chains.  This bench measures the *actual
+wall-clock* behaviour of serial and process execution, documenting that
+processes do scale.
 
 All runs route through one shared :class:`repro.Session`
 (``bench_session``), so the point store and both R-trees are built once
@@ -58,7 +57,7 @@ def _canonical(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "processes"])
 def test_bench_executor_wall(benchmark, kind):
     session = bench_session(FIG9_DATASET)
     n = 1 if kind == "serial" else WORKERS
@@ -72,7 +71,7 @@ def test_ablation_executors_report(benchmark, report):
 
     def run():
         rows = []
-        for kind in ("serial", "threads", "processes"):
+        for kind in ("serial", "processes"):
             n = 1 if kind == "serial" else WORKERS
             t0 = time.perf_counter()
             batch = session.run(VSET, executor=kind, n_threads=n)
@@ -90,8 +89,10 @@ def test_ablation_executors_report(benchmark, report):
             table,
             title=(
                 f"Ablation: executor substrates on SW1 (scale {bench_scale():g}).\n"
-                "Expected: threads ~1x (GIL), processes > 1x — the gap the "
-                "simulated executor is designed to bridge (DESIGN.md)."
+                "Processes pay a fixed pool and shared-memory startup, so "
+                "they beat serial only once per-variant work outweighs it;\n"
+                "the simulated executor models the paper's thread scaling "
+                "(DESIGN.md)."
             ),
         ),
     )
@@ -182,10 +183,10 @@ def test_procpool_matches_serial_per_config(report):
     rows = []
     for sched in sorted(SCHEDULERS):
         for pol in sorted(POLICIES):
-            serial = session.run(VSET, scheduler=sched, policy=pol)
+            serial = session.run(VSET, scheduler=sched, reuse_policy=pol)
             proc = session.run(
                 VSET, executor="processes", n_threads=WORKERS,
-                scheduler=sched, policy=pol,
+                scheduler=sched, reuse_policy=pol,
             )
             identical = all(
                 np.array_equal(_canonical(serial[v].labels), _canonical(proc[v].labels))

@@ -42,7 +42,7 @@ def test_ablation_morphology_report(benchmark, report):
             )
             with Session(pts, low_res_r=70) as session:
                 for pol in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-                    batch = session.run(VSET, policy=pol)
+                    batch = session.run(VSET, reuse_policy=pol)
                     rows.append(
                         [
                             name,

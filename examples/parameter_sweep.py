@@ -64,7 +64,7 @@ for t in (1, 2, 4, 8, 16):
 # Reuse-policy comparison at T = 1 (the Figure 5/7 setting).
 print("\nreuse-policy sweep (T = 1):")
 for policy in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-    batch = session.run(variants, executor="simulated", policy=policy)
+    batch = session.run(variants, executor="simulated", reuse_policy=policy)
     rec = batch.record
     print(
         f"  {policy.name:<15} {ref.total_units / rec.makespan:6.2f}x over reference, "

@@ -50,7 +50,7 @@ from repro.engine import (
     RunContext,
     Session,
 )
-from repro.exec import EXECUTORS, BatchResult, Executor
+from repro.exec import EXECUTORS, BatchResult
 from repro.index import BruteForceIndex, CellGraphIndex, RTree, UniformGridIndex
 from repro.metrics import (
     BatchRunRecord,
@@ -109,7 +109,6 @@ __all__ = [
     "use_tracer",
     "MetricsRegistry",
     "adjusted_rand_index",
-    "Executor",
     "EXECUTORS",
     "BatchReport",
     "CheckpointStore",

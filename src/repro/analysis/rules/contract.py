@@ -1,12 +1,12 @@
-"""Executor contract: backends are table rows, dispatched by one runtime.
+"""Executor contract: executors are table rows, run by one runtime.
 
 The recovery-transparency grid (tests/test_resilience.py), the fault
 matrix (tests/test_fault_matrix.py) and the canonical-label equivalence
-suite hold *because* every backend is a row of the ``EXECUTORS`` table
-in ``repro.exec.graph`` — a ``(substrate, mode)`` pair — run by one
-:class:`~repro.exec.graph.Executor` class through the one dispatch loop
-of :class:`~repro.exec.graph.GraphRuntime`, which owns every worker
-pool and routes every failure through
+suite hold *because* an executor is only a name: a row of the
+``EXECUTORS`` table in ``repro.exec.graph`` — a ``(substrate, mode)``
+pair — that the one row-running function ``run_executor`` hands to
+:class:`~repro.exec.graph.GraphRuntime`, whose dispatch loop owns every
+worker pool and routes every failure through
 :class:`repro.resilience.recovery.Recovery` (the consumer of the
 :class:`FaultPlan` and the one place that decides retry, degrade or
 fail).  dislib's history shows what happens when
@@ -18,13 +18,15 @@ This rule pins the contract:
   ``Backend(substrate, mode, ...)`` with a substrate that is a key of
   ``SUBSTRATES`` and a mode in ``repro.core.taskgraph.LOWERING_MODES``
   (or ``None``: derived from the context);
-* ``repro.exec`` holds exactly one executor class (a class defining
-  ``run_context``, or deriving from one); its ``run_context`` takes
-  exactly ``(self, ctx, variants)`` and references ``GraphRuntime`` —
-  an executor that bypasses the runtime silently ignores the FaultPlan
-  and retry budgets the runtime's Recovery consumes;
-* no module under ``repro.exec`` other than ``repro.exec.graph``
-  spawns workers (``ProcessPoolExecutor`` / ``ThreadPoolExecutor`` /
+* no class under ``repro.exec`` defines ``run_context``: an executor
+  class would carry its own copies of the run knobs;
+* ``repro.exec.graph`` defines ``run_executor(name, ctx, variants)``,
+  it references ``GraphRuntime``, and it is the only function that
+  looks a row up (``EXECUTORS[...]`` / ``EXECUTORS.get``) — a path
+  that bypasses the runtime silently ignores the FaultPlan and retry
+  budgets the runtime's Recovery consumes;
+* no module other than ``repro.exec.graph`` spawns workers
+  (``ProcessPoolExecutor`` / ``ThreadPoolExecutor`` /
   ``threading.Thread`` / ``multiprocessing.Process``);
 * supervision discipline: heartbeat emitters (``worker_pulse``) are
   constructed only inside ``repro.exec.graph`` workers (and the
@@ -55,10 +57,12 @@ _SUBSTRATES_NAME = "SUBSTRATES"
 _MODES_NAME = "LOWERING_MODES"
 _ROW_CLASS = "Backend"
 _RUNTIME_NAME = "GraphRuntime"
-#: The executor hook the session calls, and its pinned parameters.
+#: The one row-running function, and its pinned parameters.
+_RUNNER = "run_executor"
+_RUNNER_PARAMS = ["name", "ctx", "variants"]
+#: The method an executor class would carry; no class may define it.
 _HOOK = "run_context"
-_HOOK_PARAMS = ["self", "ctx", "variants"]
-#: Worker-spawning names banned everywhere else under repro.exec.
+#: Worker-spawning names banned outside the runtime module.
 _POOL_NAMES = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 #: module name -> attribute that spawns a worker.
 _POOL_ATTRS = {"threading": "Thread", "multiprocessing": "Process"}
@@ -81,11 +85,16 @@ def _param_names(fn: ast.FunctionDef) -> list[str]:
     return [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
 
 
-def _base_names(cls: ast.ClassDef) -> list[str]:
+def _row_lookups(fn: ast.FunctionDef) -> list[ast.AST]:
+    """``EXECUTORS[...]`` subscripts and ``EXECUTORS.get`` reads in ``fn``."""
     return [
-        b.id if isinstance(b, ast.Name) else b.attr
-        for b in cls.bases
-        if isinstance(b, (ast.Name, ast.Attribute))
+        node
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Subscript) or (
+            isinstance(node, ast.Attribute) and node.attr == "get"
+        ))
+        and isinstance(node.value, ast.Name)
+        and node.value.id == _TABLE_NAME
     ]
 
 
@@ -150,9 +159,10 @@ def _pool_spawn_sites(tree: ast.AST) -> list[tuple[ast.AST, str]]:
 class ExecutorContractRule(ProjectRule):
     rule_id = "executor-contract"
     description = (
-        "EXECUTORS rows name a known substrate and lowering mode, one "
-        "Executor class dispatches through GraphRuntime (the FaultPlan "
-        "consumer), and only repro.exec.graph spawns workers"
+        "EXECUTORS rows name a known substrate and lowering mode, no "
+        "executor class exists, run_executor is the one row-running path "
+        "and goes through GraphRuntime (the FaultPlan consumer), and only "
+        "repro.exec.graph spawns workers"
     )
 
     def _finding(self, mf: ModuleFile, node: ast.AST, message: str) -> Finding:
@@ -216,69 +226,72 @@ class ExecutorContractRule(ProjectRule):
         return findings
 
     def _executor_classes(self, project: Project) -> list[Finding]:
-        """Exactly one executor class, and it lowers through the runtime."""
-        classes: list[tuple[ModuleFile, ast.ClassDef]] = []
-        for mf in project.in_package(_EXEC_PACKAGE):
-            for node in mf.tree.body:
-                if isinstance(node, ast.ClassDef) and any(
-                    isinstance(s, ast.FunctionDef) and s.name == _HOOK
-                    for s in node.body
-                ):
-                    classes.append((mf, node))
-        names = {cls.name for _, cls in classes}
-        for mf in project.in_package(_EXEC_PACKAGE):
-            for node in mf.tree.body:
-                if (
-                    isinstance(node, ast.ClassDef)
-                    and node.name not in names
-                    and set(_base_names(node)) & names
-                ):
-                    classes.append((mf, node))
-        findings: list[Finding] = []
-        for mf, cls in classes[1:]:
-            first = classes[0][1].name
-            findings.append(self._finding(
-                mf, cls,
-                f"second executor class {cls.name} (besides {first}); "
-                f"backends are {_TABLE_NAME} rows, not classes",
-            ))
-        for mf, cls in classes[:1]:
-            hook = next(
-                (s for s in cls.body
-                 if isinstance(s, ast.FunctionDef) and s.name == _HOOK),
-                None,
+        """No class under repro.exec defines the executor hook."""
+        return [
+            self._finding(
+                mf, node,
+                f"class {node.name} defines {_HOOK}; executors are "
+                f"{_TABLE_NAME} rows, not classes",
             )
-            if hook is None:
-                continue
-            got = _param_names(hook)
-            if got != _HOOK_PARAMS or hook.args.vararg or hook.args.kwonlyargs:
-                findings.append(self._finding(
-                    mf, hook,
-                    f"{cls.name}.{_HOOK} signature is ({', '.join(got)}); "
-                    f"the contract is ({', '.join(_HOOK_PARAMS)})",
-                ))
-            if not any(
-                isinstance(n, ast.Name) and n.id == _RUNTIME_NAME
-                for n in ast.walk(hook)
-            ):
-                findings.append(self._finding(
-                    mf, hook,
-                    f"{cls.name}.{_HOOK} never references {_RUNTIME_NAME}; "
-                    "the executor would bypass the task-graph runtime and "
-                    "ignore FaultPlan / retry budgets",
-                ))
-        if not classes and project.get(_RUNTIME_MODULE) is not None:
-            runtime = project.get(_RUNTIME_MODULE)
-            findings.append(self._finding(
+            for mf in project.in_package(_EXEC_PACKAGE)
+            for node in ast.walk(mf.tree)
+            if isinstance(node, ast.ClassDef)
+            and any(
+                isinstance(s, ast.FunctionDef) and s.name == _HOOK
+                for s in node.body
+            )
+        ]
+
+    def _row_runner(self, project: Project) -> list[Finding]:
+        """One row-running function, and it goes through the runtime."""
+        runtime = project.get(_RUNTIME_MODULE)
+        if runtime is None or _assigned(runtime, _TABLE_NAME) is None:
+            return []
+        findings: list[Finding] = []
+        runner = None
+        for _, mf in sorted(project.modules.items()):
+            for fn in ast.walk(mf.tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if mf is runtime and fn.name == _RUNNER and fn in runtime.tree.body:
+                    runner = fn
+                    continue
+                for node in _row_lookups(fn)[:1]:
+                    findings.append(self._finding(
+                        mf, node,
+                        f"{mf.module}.{fn.name} looks up an {_TABLE_NAME} "
+                        f"row; rows run only through {_RUNTIME_MODULE}."
+                        f"{_RUNNER}",
+                    ))
+        if runner is None:
+            return [self._finding(
                 runtime, runtime.tree,
-                f"no executor class defines {_HOOK}(self, ctx, variants)",
+                f"no {_RUNNER}({', '.join(_RUNNER_PARAMS)}) in "
+                f"{_RUNTIME_MODULE}; nothing runs the {_TABLE_NAME} rows",
+            )]
+        got = _param_names(runner)
+        if got != _RUNNER_PARAMS or runner.args.vararg or runner.args.kwonlyargs:
+            findings.append(self._finding(
+                runtime, runner,
+                f"{_RUNNER} signature is ({', '.join(got)}); "
+                f"the contract is ({', '.join(_RUNNER_PARAMS)})",
+            ))
+        if not any(
+            isinstance(n, ast.Name) and n.id == _RUNTIME_NAME
+            for n in ast.walk(runner)
+        ):
+            findings.append(self._finding(
+                runtime, runner,
+                f"{_RUNNER} never references {_RUNTIME_NAME}; the rows "
+                "would bypass the task-graph runtime and ignore FaultPlan "
+                "/ retry budgets",
             ))
         return findings
 
     def _pool_spawns(self, project: Project) -> list[Finding]:
-        """One finding per worker kind a non-runtime exec module spawns."""
+        """One finding per worker kind a non-runtime module spawns."""
         findings: list[Finding] = []
-        for mf in project.in_package(_EXEC_PACKAGE):
+        for _, mf in sorted(project.modules.items()):
             if mf.module == _RUNTIME_MODULE:
                 continue
             seen: set[str] = set()
@@ -327,5 +340,6 @@ class ExecutorContractRule(ProjectRule):
             *self._supervision_sites(project),
             *self._table(project),
             *self._executor_classes(project),
+            *self._row_runner(project),
             *self._pool_spawns(project),
         ]

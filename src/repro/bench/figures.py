@@ -303,7 +303,7 @@ def fig5_per_variant(
         variants,
         executor="serial",
         scheduler=SchedGreedy(),
-        policy=policy,
+        reuse_policy=policy,
         low_res_r=low_res_r,
         cost_model=cost_model,
         dataset=dataset,
@@ -368,7 +368,7 @@ def fig7_summary(
                 variants,
                 executor="serial",
                 scheduler=SchedGreedy(),
-                policy=policy,
+                reuse_policy=policy,
                 low_res_r=low_res_r,
                 cost_model=cost_model,
                 dataset=name,
@@ -421,7 +421,7 @@ def fig8_combined(
                     executor="simulated",
                     n_threads=n_threads,
                     scheduler=sched,
-                    policy=policy,
+                    reuse_policy=policy,
                     low_res_r=low_res_r,
                     cost_model=cost_model,
                     dataset=cfg.dataset,
@@ -473,7 +473,7 @@ def fig9_makespan(
             executor="simulated",
             n_threads=n_threads,
             scheduler=sched,
-            policy=CLUS_DENSITY,
+            reuse_policy=CLUS_DENSITY,
             low_res_r=low_res_r,
             cost_model=cost_model,
             dataset=dataset,

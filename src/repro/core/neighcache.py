@@ -25,7 +25,7 @@ Safety rules
 Concurrency
 -----------
 All public methods take an internal lock, so one instance may be shared
-by every worker of the threads substrate.  Process lanes cannot share
+by every thread of a process.  Process lanes cannot share
 Python objects cheaply; each lane worker builds its own cache (see
 :mod:`repro.exec.graph`).
 

@@ -7,9 +7,8 @@ layers; :class:`RunContext` collapses them into a single immutable
 carrier that :class:`~repro.engine.session.Session` assembles once per
 run and the task-graph runtime consumes uniformly.
 
-The runtime reads **all** configuration from the context — never from
-executor instance attributes — so a single executor instance can serve
-many sessions/configurations, and the context is the one seam future
+The runtime reads **all** configuration from the context; an executor
+is only a name, so the context is the one seam future
 sharding/async/service layers need to extend.
 
 Runtime imports here are deliberately minimal (dataclass + typing);
@@ -70,13 +69,20 @@ def check_knobs(
     shard_threshold: int | None = None,
     batch_size: int = 0,
     cache_bytes: int = 0,
+    low_res_r: int | None = None,
+    n_threads: int | None = None,
 ) -> None:
-    """Validate the run knobs a Session or Executor accepts; raise ValueError."""
+    """Validate run knobs (session defaults or a run's); raise ValueError."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}")
     if regions is not None and part_size is not None:
         raise ValueError("pass at most one of regions / part_size")
-    for name, value in (("regions", regions), ("part_size", part_size)):
+    for name, value in (
+        ("regions", regions),
+        ("part_size", part_size),
+        ("low_res_r", low_res_r),
+        ("n_threads", n_threads),
+    ):
         if value is not None:
             check_positive_int(value, name=name)
     for name, value in (

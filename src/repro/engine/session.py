@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.exec.base import BatchResult
     from repro.exec.cost import CostModel
-    from repro.exec.graph import Executor
     from repro.index.base import SpatialIndex
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
@@ -103,8 +102,9 @@ class Session:
     cost_model:
         Work-unit pricing; defaults to the library's calibrated model.
     batch_size / cache_bytes:
-        Default epsilon-search engine knobs (see
-        :class:`~repro.exec.graph.Executor`).
+        Default epsilon-search engine knobs: the block size of the
+        batched searches (``<= 1`` runs the scalar loops) and the
+        neighborhood-cache capacity (``0`` disables the cache).
     kernel:
         Default from-scratch clustering kernel, one of
         :data:`~repro.engine.context.KERNELS` (``bfs`` or
@@ -124,7 +124,7 @@ class Session:
         (:mod:`repro.resilience.recovery`): ``True`` enables the default
         :class:`~repro.resilience.policy.SupervisePolicy`, a policy
         instance tunes it, ``None``/``False`` (default) disables.  Can
-        be overridden per executor or per run.
+        be overridden per run.
     tracer:
         Span collector for everything the session does; ``None``
         resolves to the globally active tracer at each use.
@@ -156,7 +156,6 @@ class Session:
         self.store = PointStore.from_points(points)
         self.factory = IndexFactory()
         self.dataset = dataset
-        self.low_res_r = check_positive_int(low_res_r, name="low_res_r")
         self.fanout = check_positive_int(fanout, name="fanout")
         self.scheduler = _as_scheduler(scheduler)
         self.reuse_policy = _as_policy(reuse_policy)
@@ -168,7 +167,9 @@ class Session:
             shard_threshold=shard_threshold,
             batch_size=batch_size,
             cache_bytes=cache_bytes,
+            low_res_r=low_res_r,
         )
+        self.low_res_r = int(low_res_r)
         self.batch_size = int(batch_size)
         self.cache_bytes = int(cache_bytes)
         self.kernel = kernel
@@ -213,23 +214,11 @@ class Session:
         )
 
     # -- execution ------------------------------------------------------
-    def _resolve_executor(self, executor: str | Executor | None) -> Executor:
-        from repro.exec.graph import Executor
-
-        if executor is None or isinstance(executor, str):
-            return Executor(executor or "serial")
-        if not isinstance(executor, Executor):
-            raise TypeError(
-                f"executor must be a name or an Executor; got {executor!r}"
-            )
-        return executor
-
     def context(
         self,
         *,
-        executor: Executor | None = None,
         scheduler: str | Scheduler | None = None,
-        policy: str | ReusePolicy | None = None,
+        reuse_policy: str | ReusePolicy | None = None,
         n_threads: int | None = None,
         low_res_r: int | None = None,
         batch_size: int | None = None,
@@ -247,76 +236,57 @@ class Session:
     ) -> RunContext:
         """Assemble the :class:`RunContext` for one run.
 
-        Fallback order per knob: explicit argument, else the executor
-        instance's configuration (when one is given), else the session
-        default.  ``supervise`` follows the same chain; pass ``False``
-        to switch supervision off for one run regardless of the
-        executor / session default.
+        Each knob is the argument when given, else the session default
+        (``n_threads`` defaults to 1).  ``regions`` and ``part_size``
+        fall back as a pair, and ``supervise=False`` switches a session
+        default off for this run.  The resolved knobs are validated
+        like the session defaults.
         """
         if self._closed:
             raise SessionClosedError("Session is closed")
-        ex = executor
-        layers = (ex, self) if ex is not None else (self,)
+        from repro.core.scheduling import SchedGreedy
+        from repro.resilience.policy import as_supervise_policy
 
         def pick(name: str, value: Any) -> Any:
-            for layer in layers:
-                if value is not None:
-                    break
-                value = getattr(layer, name, None)
-            return value
+            return getattr(self, name) if value is None else value
 
         sched = pick("scheduler", _as_scheduler(scheduler))
-        pol = pick("reuse_policy", _as_policy(policy))
-        cost_model = pick("cost_model", cost_model)
         low_res_r = pick("low_res_r", low_res_r)
         batch_size = pick("batch_size", batch_size)
         cache_bytes = pick("cache_bytes", cache_bytes)
         kernel = pick("kernel", kernel)
         shard_threshold = pick("shard_threshold", shard_threshold)
-        if ex is not None and ex.backend.single_threaded:
-            n_threads = 1
-        n_threads = pick("n_threads", n_threads)
-        if regions is not None and part_size is not None:
-            raise ValueError("pass at most one of regions / part_size")
-        for layer in layers:
-            if regions is None and part_size is None:
-                regions, part_size = layer.regions, layer.part_size
+        n_threads = 1 if n_threads is None else n_threads
+        if regions is None and part_size is None:
+            regions, part_size = self.regions, self.part_size
         check_knobs(
             kernel=kernel,
             regions=regions,
             part_size=part_size,
             shard_threshold=shard_threshold,
+            batch_size=batch_size,
+            cache_bytes=cache_bytes,
+            low_res_r=low_res_r,
+            n_threads=n_threads,
         )
-        from repro.core.scheduling import SchedGreedy
-        from repro.resilience.policy import as_supervise_policy
-
-        if supervise is False:
-            sup = None
-        else:
-            sup = pick("supervise", as_supervise_policy(supervise))
-        tracer = resolve_tracer(self.tracer)
         cache = (
-            NeighborhoodCache(capacity_bytes=cache_bytes)
-            if cache_bytes and cache_bytes > 0
-            else None
+            NeighborhoodCache(capacity_bytes=cache_bytes) if cache_bytes > 0 else None
         )
         return RunContext(
             store=self.store,
             indexes=self.indexes(low_res_r),
             scheduler=sched if sched is not None else SchedGreedy(),
-            reuse_policy=pol,
-            cost_model=cost_model,
-            n_threads=check_positive_int(
-                n_threads if n_threads is not None else 1, name="n_threads"
-            ),
+            reuse_policy=pick("reuse_policy", _as_policy(reuse_policy)),
+            cost_model=pick("cost_model", cost_model),
+            n_threads=int(n_threads),
             batch_size=batch_size,
             cache=cache,
             # Run-scoped: dropped with the context when the run returns.
             outcomes=(
                 SearchOutcomes() if cache is None and batch_size > 1 else None
             ),
-            tracer=tracer,
-            dataset=dataset if dataset is not None else self.dataset,
+            tracer=resolve_tracer(self.tracer),
+            dataset=pick("dataset", dataset),
             retry_policy=retry_policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
@@ -325,40 +295,28 @@ class Session:
             regions=regions,
             part_size=part_size,
             shard_threshold=shard_threshold,
-            supervisor=sup,
+            supervisor=(
+                None if supervise is False
+                else pick("supervise", as_supervise_policy(supervise))
+            ),
         )
 
     def run(
         self,
         variants: VariantSet,
         *,
-        executor: str | Executor | None = None,
-        scheduler: str | Scheduler | None = None,
-        policy: str | ReusePolicy | None = None,
-        n_threads: int | None = None,
-        low_res_r: int | None = None,
-        batch_size: int | None = None,
-        cache_bytes: int | None = None,
-        cost_model: CostModel | None = None,
-        dataset: str | None = None,
-        kernel: str | None = None,
-        regions: int | None = None,
-        part_size: int | None = None,
-        shard_threshold: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
+        executor: str = "serial",
         resume: str | Path | CheckpointStore | None = None,
-        supervise: SupervisePolicy | bool | None = None,
+        **knobs: Any,
     ) -> BatchResult:
         """Execute every variant and return the batch result.
 
-        ``executor`` may be a row name of
-        :data:`~repro.exec.graph.EXECUTORS` (``serial`` / ``simulated``
-        / ``threads`` / ``processes`` / ``sharded`` / ``hybrid``), an
-        already-configured :class:`~repro.exec.graph.Executor`, or
-        ``None`` for the serial default.  All other knobs override the session defaults
-        for this run only; indexes come from the memoized factory, so
-        repeated runs never rebuild them.
+        ``executor`` names a row of :data:`~repro.exec.graph.EXECUTORS`
+        (``serial`` / ``simulated`` / ``processes`` / ``sharded`` /
+        ``hybrid``).  Every other keyword is a :meth:`context` knob
+        that overrides the session default for this run only; indexes
+        come from the memoized factory, so repeated runs never rebuild
+        them.
 
         Resilience knobs: ``retry_policy`` grants per-variant deadlines
         and retries, ``fault_plan`` injects deterministic failures (a
@@ -374,42 +332,19 @@ class Session:
         monitoring, risk-gated remediation, graceful degradation — see
         :mod:`repro.resilience.recovery`): ``True`` for the default policy, a
         :class:`~repro.resilience.policy.SupervisePolicy` to tune
-        it, ``False`` to switch off an executor/session default.
+        it, ``False`` to switch off a session default.
         Supervision implies a resilient run.
         """
         if self._closed:
             raise SessionClosedError("Session is closed")
+        from repro.exec.graph import run_executor
+
         if not isinstance(variants, VariantSet):
             variants = VariantSet(variants)
-        ex = self._resolve_executor(executor)
-        # Only an explicitly-passed instance contributes its own knobs as
-        # fallbacks; a freshly-constructed backend defers to the session.
-        from_instance = ex is executor
-        if ex.backend.single_threaded:
-            n_threads = 1
-        checkpoint = self._resolve_checkpoint(resume)
-        ctx = self.context(
-            executor=ex if from_instance else None,
-            scheduler=scheduler,
-            policy=policy,
-            n_threads=n_threads,
-            low_res_r=low_res_r,
-            batch_size=batch_size,
-            cache_bytes=cache_bytes,
-            cost_model=cost_model,
-            dataset=dataset,
-            kernel=kernel,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=shard_threshold,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-            supervise=supervise,
-        )
+        ctx = self.context(checkpoint=self._resolve_checkpoint(resume), **knobs)
         self._active_runs += 1
         try:
-            return ex.run_context(ctx, variants)
+            return run_executor(executor, ctx, variants)
         finally:
             self._active_runs -= 1
 

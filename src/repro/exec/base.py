@@ -1,7 +1,7 @@
 """The result of executing a variant set: every clustering plus the record.
 
-An executor (:class:`~repro.exec.graph.Executor`) owns the policy knobs
-of Algorithm 3's outer ``parallel for`` and produces a
+An executor (a row of :data:`~repro.exec.graph.EXECUTORS`) runs
+Algorithm 3's outer ``parallel for`` and produces a
 :class:`BatchResult` bundling every variant's
 :class:`~repro.core.result.ClusteringResult` with the batch-level
 :class:`~repro.metrics.records.BatchRunRecord` that the figures are

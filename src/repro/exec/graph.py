@@ -1,4 +1,4 @@
-"""The task-graph runtime: one dispatch loop, three substrates, one executor.
+"""The task-graph runtime: one dispatch loop, two substrates, named executors.
 
 A batch runs in three steps.  The scheduler plans the variant queue;
 :func:`~repro.core.taskgraph.lower_variants` lowers it into a DAG of
@@ -17,9 +17,6 @@ clock a unit runs is the business of a *substrate* (:data:`SUBSTRATES`):
     is bit-reproducible) and finishes after its
     :class:`~repro.exec.cost.CostModel` price.  Reuse sources are the
     variants finished by that start time.
-``threads``
-    In-process futures on the wall clock; the shared online registry
-    decides reuse.
 ``lanes``
     Processes, one single-process pool per lane, so a killed worker
     breaks exactly one lane.  A reuse chain runs whole inside a
@@ -27,36 +24,33 @@ clock a unit runs is the business of a *substrate* (:data:`SUBSTRATES`):
     parent materializes the point database and the index pack once in
     shared memory; workers attach instead of receiving pickled arrays.
 
-An executor is one row of :data:`EXECUTORS` — a substrate and a
-lowering mode — and :class:`Executor` holds one row plus the run knobs.
+An executor is a name: one row of :data:`EXECUTORS`, a substrate and a
+lowering mode, which :func:`run_executor` runs under an assembled
+:class:`~repro.engine.context.RunContext`.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.core.dbscan import DEFAULT_BATCH_SIZE
 from repro.core.neighbors import SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import ClusteringResult
-from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
+from repro.core.reuse import POLICIES
 from repro.core.scheduling import (
     CompletedRegistry,
     PlannedVariant,
     SchedGreedy,
-    Scheduler,
     dependency_tree,
 )
 from repro.core.shard import (
@@ -74,9 +68,8 @@ from repro.core.taskgraph import (
     shard_task_id,
     variant_task_id,
 )
-from repro.core.variant_dbscan import DEFAULT_LOW_RES_R
 from repro.core.variants import Variant, VariantSet, sort_key
-from repro.engine.context import RunContext, check_knobs
+from repro.engine.context import RunContext
 from repro.engine.factory import (
     IndexFactory,
     IndexPairHandle,
@@ -86,7 +79,7 @@ from repro.engine.factory import (
 from repro.engine.shm import destroy_segment, release_segment
 from repro.engine.store import PointStore, PointStoreHandle
 from repro.exec.base import BatchResult
-from repro.exec.cost import DEFAULT_COST_MODEL, CostModel
+from repro.exec.cost import CostModel
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import BatchRunRecord, VariantRunRecord
 from repro.resilience.checkpoint import CheckpointStore
@@ -96,20 +89,19 @@ from repro.resilience.faults import (
     allow_kill_faults,
     verify_result,
 )
-from repro.resilience.policy import RetryPolicy, SupervisePolicy, as_supervise_policy
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.recovery import EVENT_RETRY, Recovery, Step
 from repro.supervise.signals import PulseHandle, WorkerPulse, worker_pulse
 from repro.util.tracing import SPAN_TASK, SpanRecord, Tracer, set_tracer
-from repro.util.validation import check_positive_int
 
 __all__ = [
     "EVENT_SHARD_PLAN",
     "EXECUTORS",
     "Backend",
-    "Executor",
     "GraphRuntime",
     "SUBSTRATES",
     "partition_reuse_chains",
+    "run_executor",
 ]
 
 #: Instant event emitted once per batch describing the shard partition.
@@ -141,12 +133,6 @@ class Backend(NamedTuple):
 #:     variant lowering.  The memory-contention factor is static in
 #:     ``T`` rather than tracking instantaneous overlap (DESIGN.md); the
 #:     figures compare configurations under the same factor.
-#: ``threads``
-#:     Real threads sharing indexes and the completed registry, as in
-#:     the paper's OpenMP loop; reuse depends on wall-clock completion
-#:     order.  CPython's GIL serializes the Python-level clustering
-#:     loop, so scaling sits far below the paper's C++ results; the
-#:     executor-comparison ablation measures exactly that.
 #: ``processes``
 #:     GIL-free variant parallelism.  Processes cannot share completed
 #:     results mid-flight, so the variant set is split statically into
@@ -171,7 +157,6 @@ class Backend(NamedTuple):
 EXECUTORS: dict[str, Backend] = {
     "serial": Backend("sim", "variant", single_threaded=True),
     "simulated": Backend("sim", None),
-    "threads": Backend("threads", "variant"),
     "processes": Backend("lanes", "variant"),
     "sharded": Backend("lanes", "shard"),
     "hybrid": Backend("lanes", "hybrid"),
@@ -511,8 +496,8 @@ def _shard_worker(
 class _Chain:
     """Variants that run in order on one slot, reusing along the chain.
 
-    In-process substrates make every variant task its own chain; lanes
-    group them into reuse-closed chains (:func:`partition_reuse_chains`).
+    ``sim`` makes every variant task its own chain; lanes group them
+    into reuse-closed chains (:func:`partition_reuse_chains`).
     """
 
     gid: int
@@ -594,8 +579,6 @@ class _Sim(_Substrate):
 
     clock = "modeled"
     thread = "sim"
-    grouped = False
-    shares_cache = True
 
     def __init__(self, d: _Dispatch) -> None:
         super().__init__(d)
@@ -638,15 +621,19 @@ class _Sim(_Substrate):
             finish = start + d.ctx.cost_model.duration(
                 value.counters, d.ctx.n_threads
             )
+            out = value, start, finish, None
         elif value[0] is not None:
-            finish = start + value[1].response_time
+            result, record = value
+            finish = start + record.response_time
+            record.start, record.finish, record.thread_id = start, finish, job.slot
+            out = [(result, record)], None, None
         else:  # permanent failure: the worker frees at once
             heapq.heappush(self.workers, (avail, job.slot))
             self.done.append((job, None, None))
             return
         heapq.heappush(self.workers, (finish, job.slot))
         self.finish_at[job.label] = finish
-        self.done.append((job, d.inline_value(job, value, start, finish), None))
+        self.done.append((job, out, None))
 
     def stamp_merge(self, pipe: _Pipe, delta: WorkCounters, wall0: float):
         ctx = self.d.ctx
@@ -655,69 +642,6 @@ class _Sim(_Substrate):
         heapq.heappush(self.workers, (finish, tid))
         self.finish_at[pipe.merge_id] = finish
         return start, finish, tid
-
-
-class _Wall(_Substrate):
-    """Shared part of the wall-clock substrates."""
-
-    clock = "wall"
-
-    def __init__(self, d: _Dispatch) -> None:
-        super().__init__(d)
-        self.inflight: dict[Future, _Job] = {}
-
-    def busy(self) -> bool:
-        return bool(self.inflight)
-
-    def stamp_merge(self, pipe: _Pipe, delta: WorkCounters, wall0: float):
-        return wall0 - self.d.t0, time.perf_counter() - self.d.t0, 0
-
-
-def _run_on_thread(d: _Dispatch, job: _Job):
-    """Thread-pool body: run ``job`` in-process and stamp its wall window."""
-    start = time.perf_counter() - d.t0
-    value = d.execute(job, before=None)
-    return d.inline_value(job, value, start, time.perf_counter() - d.t0)
-
-
-class _Threads(_Wall):
-    """In-process futures on the wall clock."""
-
-    thread = "thread"
-    grouped = False
-    shares_cache = True
-
-    def __init__(self, d: _Dispatch) -> None:
-        super().__init__(d)
-        self.slots = list(range(d.ctx.n_threads))
-        self.pool: ThreadPoolExecutor | None = None
-
-    def open(self) -> None:
-        self.pool = ThreadPoolExecutor(
-            max_workers=len(self.slots), thread_name_prefix="variant-worker"
-        )
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
-
-    def free(self) -> bool:
-        return bool(self.slots)
-
-    def start(self, job: _Job) -> None:
-        assert self.pool is not None
-        job.slot = self.slots.pop()
-        self.inflight[self.pool.submit(_run_on_thread, self.d, job)] = job
-
-    def wait(self) -> list:
-        done, _ = wait(self.inflight, return_when=FIRST_COMPLETED)
-        out = []
-        for fut in done:
-            job = self.inflight.pop(fut)
-            self.slots.append(job.slot)
-            exc = fut.exception()
-            out.append((job, None, exc) if exc else (job, fut.result(), None))
-        return out
 
 
 class _Lane:
@@ -737,7 +661,7 @@ class _Lane:
         self.pool.shutdown(wait=True, cancel_futures=True)
 
 
-class _Lanes(_Wall):
+class _Lanes(_Substrate):
     """Process lanes: chain and shard workers over shared memory.
 
     Chains keep one submission counter each and ship it to the worker,
@@ -748,12 +672,12 @@ class _Lanes(_Wall):
     budget is killed the same way (a wedged worker never joins).
     """
 
+    clock = "wall"
     thread = "lane"
-    grouped = True
-    shares_cache = False
 
     def __init__(self, d: _Dispatch) -> None:
         super().__init__(d)
+        self.inflight: dict[Future, _Job] = {}
         ctx, graph = d.ctx, d.graph
         if graph.mode == "shard":
             n_lanes = min(ctx.n_threads, graph.merge_tasks()[0].n_regions)
@@ -812,6 +736,12 @@ class _Lanes(_Wall):
 
     def free(self) -> bool:
         return bool(self.free_lanes)
+
+    def busy(self) -> bool:
+        return bool(self.inflight)
+
+    def stamp_merge(self, pipe: _Pipe, delta: WorkCounters, wall0: float):
+        return wall0 - self.d.t0, time.perf_counter() - self.d.t0, 0
 
     def _donors(self, unit: _Chain) -> list:
         """Merged results of the chain's sharded donors, shipped along."""
@@ -927,7 +857,7 @@ class _Lanes(_Wall):
 
 
 #: Substrate name -> implementation (see the module docstring).
-SUBSTRATES: dict[str, type] = {"sim": _Sim, "threads": _Threads, "lanes": _Lanes}
+SUBSTRATES: dict[str, type] = {"sim": _Sim, "lanes": _Lanes}
 
 
 # --------------------------------------------------------------------------
@@ -961,17 +891,16 @@ class _Dispatch:
         self.resolved: set[str] = set()
         self.failed: set[str] = set()
         self.spans: list[SpanRecord] = []
-        kind = SUBSTRATES[substrate]
-        self.units = self._units(kind.grouped, base_plan)
+        self.units = self._units(base_plan)
         self.merge_variant = {
             u.merge_id: u.variant for u in self.units if isinstance(u, _Pipe)
         }
         self.soft = {t.variant: t.soft_deps for t in graph.variant_tasks()}
         self.t0 = time.perf_counter()
-        self.sub = kind(self)
+        self.sub = SUBSTRATES[substrate](self)
         self.origin = 0.0 if self.sub.clock == "modeled" else self.t0
 
-    def _units(self, grouped: bool, base_plan: ShardPlan | None) -> list:
+    def _units(self, base_plan: ShardPlan | None) -> list:
         """Chains and pipes, in the order their first task appears."""
         graph = self.graph
         pipes: dict[Variant, _Pipe] = {}
@@ -988,7 +917,7 @@ class _Dispatch:
             pipes[st.variant].deps.update(st.deps)
         tasks = graph.variant_tasks()
         chain_of: dict[Variant, _Chain] = {}
-        if grouped and tasks:
+        if self.substrate == "lanes" and tasks:
             # Group along the *global* reuse forest (so a sharded root's
             # subtree stays one chain), then drop the sharded variants
             # themselves — their results arrive as donors.
@@ -1043,7 +972,7 @@ class _Dispatch:
             sub.close()
         if self.tracer.enabled and self.spans:
             self.tracer.add_records(self.spans)
-        if sub.shares_cache:
+        if self.substrate == "sim":  # lane workers trace their own
             _trace_search_stats(self.tracer, self.ctx.cache, self.ctx.outcomes)
 
     def next_job(self) -> _Job | None:
@@ -1067,7 +996,7 @@ class _Dispatch:
                 return _Job(unit, label, region, stamp=unit.attempt)
         return None
 
-    # -- in-process execution (sim and threads) ----------------------------
+    # -- in-process execution (sim) ------------------------------------------
     def shard_fault(self, job: _Job) -> FaultSpec | None:
         """The ``start``-phase fault to fire in this shard job, if any."""
         faults, pipe = self.recovery.faults, job.unit
@@ -1078,7 +1007,7 @@ class _Dispatch:
             return spec
         return faults.find_task(job.label, pipe.attempt, "start")
 
-    def execute(self, job: _Job, *, before: float | None):
+    def execute(self, job: _Job, *, before: float):
         """Run one job in this process: a whole variant or one region."""
         if not job.shard:
             (planned,) = job.unit.planned
@@ -1094,18 +1023,6 @@ class _Dispatch:
             batch_size=self.ctx.batch_size,
             tracer=self.tracer,
         )
-
-    def inline_value(self, job: _Job, value, start: float, finish: float):
-        """An in-process job's outcome in the form the lane jobs have."""
-        if job.shard:
-            return value, start, finish, None
-        result, record = value
-        if result is None:
-            return None
-        if self.sub.clock == "wall":
-            record.response_time = finish - start
-        record.start, record.finish, record.thread_id = start, finish, job.slot
-        return [(result, record)], None, None
 
     # -- completion handling -------------------------------------------------
     def task_span(self, kind, task_id, deps, start, finish, thread, soft=()):
@@ -1315,12 +1232,11 @@ class _Dispatch:
 
         A pipe re-runs its variant from scratch, as its shards did, at
         variant lowering or on the bfs kernel.  A chain re-runs its
-        unfinished variants on a parent thread (the threads rung) or in
-        the parent itself (serial), seeded with exactly the donors a
-        fresh lane submission would see — its sharded donors and its own
-        completed prefix — and normalizing reuse distances over the
-        chain like its lane worker did; a wider pool could pick another
-        reuse source and permute cluster ids.  Faults planned for the
+        unfinished variants in the parent (the serial rung), seeded with
+        exactly the donors a fresh lane submission would see — its
+        sharded donors and its own completed prefix — and normalizing
+        reuse distances over the chain like its lane worker did; a wider
+        pool could pick another reuse source and permute cluster ids.  Faults planned for the
         ``offset`` submissions already used stay fired.  Completed
         variants join the batch marked with the step; returns whether
         all completed.
@@ -1341,32 +1257,22 @@ class _Dispatch:
             kernel="bfs" if step.axis == "kernel" else self.ctx.kernel,
         )
         todo = [v for v in chain if v not in self.results]
-
-        def run() -> bool:
-            start = time.perf_counter() - self.t0
-            for v, result, record in _run_chain(
-                self.recovery, todo, registry, force_scratch=pipe,
-                ctx=ctx, vset=VariantSet(chain), offset=offset,
-            ):
-                if result is None:
-                    return False
-                now = time.perf_counter() - self.t0
-                record.start, record.finish, record.thread_id = start, now, -1
-                record.response_time = now - start
-                self.registry.add(v, result, finished_at=now)
-                self.results[v] = result
-                self.records.append(record)
-                self.recovery.mark_degraded(v, step.label)
-                start = now
-            return True
-
-        if step.target != "threads":
-            return run()
-        out: list[bool] = []
-        th = threading.Thread(target=lambda: out.append(run()), name="degrade-runner")
-        th.start()
-        th.join()
-        return bool(out) and out[0]
+        start = time.perf_counter() - self.t0
+        for v, result, record in _run_chain(
+            self.recovery, todo, registry, force_scratch=pipe,
+            ctx=ctx, vset=VariantSet(chain), offset=offset,
+        ):
+            if result is None:
+                return False
+            now = time.perf_counter() - self.t0
+            record.start, record.finish, record.thread_id = start, now, -1
+            record.response_time = now - start
+            self.registry.add(v, result, finished_at=now)
+            self.results[v] = result
+            self.records.append(record)
+            self.recovery.mark_degraded(v, step.label)
+            start = now
+        return True
 
 
 class GraphRuntime:
@@ -1440,96 +1346,38 @@ class GraphRuntime:
         )
 
 
-# --------------------------------------------------------------------------
-# the executor
-# --------------------------------------------------------------------------
+def run_executor(name: str, ctx: RunContext, variants: VariantSet) -> BatchResult:
+    """Run the :data:`EXECUTORS` row ``name`` under an assembled context.
 
-
-class Executor:
-    """One :data:`EXECUTORS` row plus the knobs of a run.
-
-    ``name`` picks the row.  The knobs mean what the same-named
-    :class:`~repro.engine.session.Session` defaults mean (``n_threads``
-    is ``T``: modeled threads on ``sim``, the real pool size elsewhere;
-    ``single_threaded`` rows force 1).  :meth:`Session.run` with an
-    ``Executor`` instance uses its knobs as the fallbacks for knobs the
-    run itself does not set.
+    The one path from an executor name to :class:`GraphRuntime`: it
+    looks the row up, runs single-threaded rows with ``n_threads=1``,
+    takes the lowering mode from the row (or, for a row without one,
+    from the context: ``shard_threshold`` set gives hybrid lowering,
+    ``regions`` / ``part_size`` set gives shard lowering, else variant
+    lowering) and stamps the batch record with the run's configuration.
     """
-
-    def __init__(
-        self,
-        name: str = "serial",
-        n_threads: int = 1,
-        *,
-        scheduler: Scheduler | None = None,
-        reuse_policy: ReusePolicy = CLUS_DENSITY,
-        low_res_r: int = DEFAULT_LOW_RES_R,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        cache_bytes: int = 0,
-        kernel: str = "bfs",
-        regions: int | None = None,
-        part_size: int | None = None,
-        shard_threshold: int | None = None,
-        supervise: SupervisePolicy | bool | None = None,
-    ) -> None:
-        if name not in EXECUTORS:
-            raise KeyError(
-                f"unknown executor {name!r}; expected one of {sorted(EXECUTORS)}"
-            )
-        check_knobs(
-            kernel=kernel,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=shard_threshold,
-            batch_size=batch_size,
-            cache_bytes=cache_bytes,
-        )
-        self.name = name
-        self.backend = EXECUTORS[name]
-        self.n_threads = (
-            1
-            if self.backend.single_threaded
-            else check_positive_int(n_threads, name="n_threads")
-        )
-        self.scheduler = scheduler if scheduler is not None else SchedGreedy()
-        self.reuse_policy = reuse_policy
-        self.low_res_r = check_positive_int(low_res_r, name="low_res_r")
-        self.cost_model = cost_model
-        self.batch_size = int(batch_size)
-        self.cache_bytes = int(cache_bytes)
-        self.kernel = kernel
-        self.regions = regions
-        self.part_size = part_size
-        self.shard_threshold = shard_threshold
-        self.supervise = as_supervise_policy(supervise)
-
-    def run_context(self, ctx: RunContext, variants: VariantSet) -> BatchResult:
-        """Execute every variant under an assembled context.
-
-        Reads all configuration from ``ctx`` (one instance can serve
-        many sessions) and stamps the batch record with it.
-        """
-        mode = self.backend.mode
-        if mode is None:
-            if ctx.shard_threshold is not None:
-                mode = "hybrid"
-            elif ctx.regions is not None or ctx.part_size is not None:
-                mode = "shard"
-            else:
-                mode = "variant"
-        result = GraphRuntime(self.backend.substrate).run(ctx, variants, mode=mode)
-        result.record.scheduler = ctx.scheduler.name
-        result.record.reuse_policy = ctx.reuse_policy.name
-        result.record.dataset = ctx.dataset
-        result.record.executor = self.name
-        result.record.n_threads = ctx.n_threads
-        return result
-
-    def __repr__(self) -> str:
-        knobs = ", ".join(
-            f"{k}={getattr(v, 'name', v)!r}"
-            for k, v in vars(self).items()
-            if k not in ("name", "backend") and v is not None
-        )
-        return f"Executor({self.name!r}, {knobs})"
+    if not isinstance(name, str):
+        raise TypeError(f"executor must be an EXECUTORS row name; got {name!r}")
+    try:
+        row = EXECUTORS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown executor {name!r}; expected one of {sorted(EXECUTORS)}"
+        ) from None
+    if row.single_threaded:
+        ctx = ctx.with_(n_threads=1)
+    mode = row.mode
+    if mode is None:
+        if ctx.shard_threshold is not None:
+            mode = "hybrid"
+        elif ctx.regions is not None or ctx.part_size is not None:
+            mode = "shard"
+        else:
+            mode = "variant"
+    result = GraphRuntime(row.substrate).run(ctx, variants, mode=mode)
+    record = result.record
+    record.scheduler = ctx.scheduler.name
+    record.reuse_policy = ctx.reuse_policy.name
+    record.dataset = ctx.dataset
+    record.executor = name
+    return result

@@ -138,8 +138,7 @@ LADDER = {
     ("lowering", "hybrid"): "shard",
     ("lowering", "shard"): "variant",
     ("kernel", "cellgraph"): "bfs",
-    ("substrate", "lanes"): "threads",
-    ("substrate", "threads"): "serial",
+    ("substrate", "lanes"): "serial",
 }
 
 #: Respawns and ladder steps one subject may take before quarantine.
@@ -279,9 +278,9 @@ class Recovery:
     :func:`~repro.exec._runner.execute_variant` call, exceptions
     propagate, and :meth:`finalize` returns no report.
 
-    Thread-safe for what runs concurrently: attempts on the threads
-    substrate and a degraded rung's thread account outcomes under a
-    lock; decisions and records are made on the dispatch thread.
+    Outcomes are accounted under a lock, so the report stays whole if
+    attempts ever run concurrently; decisions and records are made on
+    the dispatch thread.
     """
 
     def __init__(self, ctx: RunContext, vset: VariantSet) -> None:

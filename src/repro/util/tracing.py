@@ -28,8 +28,8 @@ active tracer defaults to a :class:`NullTracer` whose ``span()`` /
 uninstrumented run pays one no-op method call per *phase boundary*
 (thousands per run, not millions) and allocates nothing.
 
-Thread-safety: a single :class:`Tracer` may be shared by every worker
-of the threads substrate — record emission appends under a lock.
+Thread-safety: record emission appends under a lock, so a single
+:class:`Tracer` may be shared by every thread of a process.
 Process workers build their own tracer and ship their records back for
 merging (see :mod:`repro.exec.graph`).
 

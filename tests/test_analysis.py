@@ -302,11 +302,12 @@ def _mutated(module: str, old: str, new: str) -> dict[str, str]:
 
 
 _HYBRID_ROW = '"hybrid": Backend("lanes", "hybrid"),'
-_HOOK_DEF = "    def run_context(self, ctx: RunContext, variants: VariantSet)"
-_SECOND_CLASS = (
-    "from repro.exec.graph import Executor\n\n"
-    "class ShadowExecutor(Executor):{pragma}\n"
-    "    pass\n"
+_RUNNER_DEF = "def run_executor(name: str, ctx: RunContext, variants: VariantSet)"
+_RUNTIME_CALL = "result = GraphRuntime(row.substrate).run(ctx, variants, mode=mode)"
+_EXECUTOR_CLASS = (
+    "class ShadowExecutor:{pragma}\n"
+    "    def run_context(self, ctx, variants):\n"
+    "        return None\n"
 )
 
 
@@ -317,7 +318,7 @@ class TestExecutorContractRule:
 
     def test_wrong_run_signature_is_flagged(self):
         sources = _mutated(
-            "repro.exec.graph", _HOOK_DEF, _HOOK_DEF.replace("variants", "variants, extra")
+            "repro.exec.graph", _RUNNER_DEF, _RUNNER_DEF.replace("variants", "variants, extra")
         )
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
@@ -325,9 +326,7 @@ class TestExecutorContractRule:
 
     def test_missing_graph_runtime_is_flagged(self):
         sources = _mutated(
-            "repro.exec.graph",
-            "result = GraphRuntime(self.backend.substrate).run(",
-            "result = _bypass(",
+            "repro.exec.graph", _RUNTIME_CALL, "result = _bypass(ctx, variants, mode)"
         )
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
@@ -347,17 +346,16 @@ class TestExecutorContractRule:
     def test_runtime_module_may_spawn_pools(self):
         sources = _shipped()
         assert "ProcessPoolExecutor(max_workers=1)" in sources["repro.exec.graph"]
-        assert "threading.Thread(" in sources["repro.exec.graph"]
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
 
     def test_missing_run_hook_is_flagged(self):
         sources = _mutated(
-            "repro.exec.graph", _HOOK_DEF, _HOOK_DEF.replace("run_context", "go")
+            "repro.exec.graph", _RUNNER_DEF, _RUNNER_DEF.replace("run_executor", "go")
         )
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
-        assert "run_context" in report.findings[0].message
+        assert "run_executor" in report.findings[0].message
 
     def test_unknown_substrate_in_row_is_flagged(self):
         sources = _mutated(
@@ -378,17 +376,71 @@ class TestExecutorContractRule:
         assert "lowering mode 'diagonal'" in report.findings[0].message
 
     def test_unregistered_backend_is_flagged(self):
-        """A backend written as a class, not a table row: a second
-        executor class."""
+        """A backend written as a class, not a table row."""
         sources = _shipped()
-        sources["repro.exec.shadow"] = _SECOND_CLASS.format(pragma="")
+        sources["repro.exec.shadow"] = _EXECUTOR_CLASS.format(pragma="")
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract"]
-        assert "second executor class ShadowExecutor" in report.findings[0].message
+        assert "class ShadowExecutor defines run_context" in report.findings[0].message
+
+    def test_second_row_lookup_is_flagged(self):
+        """A second path from a row name to a substrate, beside run_executor."""
+        sources = _shipped()
+        sources["repro.engine.shortcut"] = (
+            "from repro.exec.graph import EXECUTORS, _Dispatch\n\n"
+            "def run_row(name, ctx, variants):\n"
+            "    return _Dispatch(EXECUTORS[name].substrate, ctx, variants)\n"
+        )
+        report = check(sources, [ExecutorContractRule])
+        assert rule_ids(report) == ["executor-contract"]
+        assert "repro.engine.shortcut.run_row looks up" in report.findings[0].message
+
+    @pytest.mark.parametrize(
+        "module, old, new, message",
+        [
+            pytest.param(
+                "repro.exec.base",
+                "@dataclass\nclass BatchResult:",
+                "class LocalExecutor:\n"
+                "    def run_context(self, ctx, variants):\n"
+                "        return None\n\n\n"
+                "@dataclass\nclass BatchResult:",
+                "class LocalExecutor defines run_context",
+                id="run-context-class",
+            ),
+            pytest.param(
+                "repro.exec.graph",
+                '"processes": Backend("lanes", "variant"),',
+                '"threads": Backend("threads", "variant"),\n'
+                '    "processes": Backend("lanes", "variant"),',
+                "substrate 'threads'",
+                id="threads-row",
+            ),
+            pytest.param(
+                "repro.exec.base",
+                "from dataclasses import dataclass\n",
+                "from concurrent.futures import ThreadPoolExecutor\n"
+                "from dataclasses import dataclass\n",
+                "spawns workers (ThreadPoolExecutor)",
+                id="thread-pool-in-base",
+            ),
+            pytest.param(
+                "repro.exec.graph",
+                _RUNTIME_CALL,
+                "result = _Dispatch(row.substrate, ctx, variants)",
+                "never references GraphRuntime",
+                id="runner-without-runtime",
+            ),
+        ],
+    )
+    def test_seeded_mutation_gives_one_finding(self, module, old, new, message):
+        report = check(_mutated(module, old, new), [ExecutorContractRule])
+        assert rule_ids(report) == ["executor-contract"]
+        assert message in report.findings[0].message
 
     def test_pragma_on_class_line_suppresses(self):
         sources = _shipped()
-        sources["repro.exec.shadow"] = _SECOND_CLASS.format(
+        sources["repro.exec.shadow"] = _EXECUTOR_CLASS.format(
             pragma="  # repro: allow[executor-contract]"
         )
         report = check(sources, [ExecutorContractRule])

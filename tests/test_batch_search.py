@@ -22,7 +22,6 @@ from repro.core.neighcache import NeighborhoodCache
 from repro.core.scheduling import SchedMinpts
 from repro.core.variant_dbscan import variant_dbscan
 from repro.core.variants import Variant, VariantSet
-from repro.exec import Executor
 from repro.index.brute import BruteForceIndex
 from repro.index.grid import UniformGridIndex
 from repro.index.kdtree import KDTree
@@ -187,11 +186,9 @@ class TestBatchedClusteringParity:
     def test_cached_executor_identical_labels(self, two_blobs):
         """Cached vs uncached VariantDBSCAN batches agree label-for-label."""
         vset = VariantSet.from_product([0.5, 0.6, 0.8], [4, 6])
-        plain = run_batch(Executor("serial", scheduler=SchedMinpts()), two_blobs, vset)
+        plain = run_batch("serial", two_blobs, vset, scheduler=SchedMinpts())
         cached = run_batch(
-            Executor("serial", scheduler=SchedMinpts(), cache_bytes=64 << 20),
-            two_blobs,
-            vset,
+            "serial", two_blobs, vset, scheduler=SchedMinpts(), cache_bytes=64 << 20
         )
         for v in vset:
             np.testing.assert_array_equal(cached[v].labels, plain[v].labels)

@@ -370,7 +370,7 @@ def wiring_reference(two_blobs):
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes", "simulated"])
+@pytest.mark.parametrize("executor", ["serial", "processes", "simulated"])
 def test_kernel_matches_bfs_reference(
     two_blobs, wiring_reference, executor, scheduler_name, policy_name
 ):
@@ -380,7 +380,7 @@ def test_kernel_matches_bfs_reference(
             executor=executor,
             n_threads=2,
             scheduler=scheduler_name,
-            policy=policy_name,
+            reuse_policy=policy_name,
         )
     for v in WIRING_VARIANTS:
         np.testing.assert_array_equal(
@@ -392,10 +392,8 @@ def test_kernel_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError, match="unknown kernel"):
         Session(pts, kernel="quantum")
-    from repro.exec import Executor
-
-    with pytest.raises(ValueError, match="unknown kernel"):
-        Executor("serial", kernel="quantum")
+    with Session(pts) as session, pytest.raises(ValueError, match="unknown kernel"):
+        session.run(VariantSet.from_product([0.5], [2]), kernel="quantum")
 
 
 def test_session_run_kernel_override(two_blobs):

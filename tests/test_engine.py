@@ -18,15 +18,14 @@ Covers the engine layer's contracts end to end:
 from __future__ import annotations
 
 import glob
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.core.scheduling import SchedMinpts
 from repro.core.variants import Variant, VariantSet
 from repro.engine import (
     IndexFactory,
-    IndexPair,
     PointStore,
     RunContext,
     Session,
@@ -35,9 +34,12 @@ from repro.engine import (
     share_index_pair,
 )
 from repro.engine.shm import attach_arrays, pack_arrays
-from repro.exec import Executor
+from repro.exec.base import BatchResult
 from repro.exec.cost import CostModel
-from repro.exec.graph import partition_reuse_chains
+from repro.exec.graph import GraphRuntime, partition_reuse_chains
+from repro.metrics.records import BatchRunRecord
+from repro.resilience import FaultPlan, RetryPolicy
+from repro.supervise import SupervisePolicy
 from tests.helpers import run_batch
 
 
@@ -233,7 +235,7 @@ class TestSharedIndexPair:
 class TestRunContext:
     def test_frozen_and_with(self, points):
         with Session(points, low_res_r=16) as session:
-            ctx = session.context(executor=Executor("serial"))
+            ctx = session.context()
             with pytest.raises(AttributeError):
                 ctx.n_threads = 5
             assert ctx.with_(n_threads=5).n_threads == 5
@@ -245,7 +247,7 @@ class TestRunContext:
 # ----------------------------------------------------------------------
 class TestSession:
     def test_run_matches_direct_serial(self, points):
-        direct = run_batch(Executor("serial"), points, VSET)
+        direct = run_batch("serial", points, VSET)
         with Session(points, dataset="unit") as session:
             batch = session.run(VSET)
         assert set(batch.results) == set(VSET)
@@ -265,13 +267,7 @@ class TestSession:
     def test_executor_resolution_forms(self, points):
         with Session(points) as session:
             assert session.run(VSET, executor="simulated").record.executor == "simulated"
-            fresh = Executor("simulated")
-            assert session.run(VSET, executor=fresh).record.executor == "simulated"
-            inst = Executor("simulated", n_threads=3, scheduler=SchedMinpts())
-            rec = session.run(VSET, executor=inst).record
-            assert rec.executor == "simulated"
-            assert rec.n_threads == 3  # instance knobs are the fallback
-            assert rec.scheduler == "SCHEDMINPTS"
+            assert session.run(VSET).record.executor == "serial"  # the default
 
     def test_unknown_names_raise(self, points):
         with Session(points) as session:
@@ -280,7 +276,7 @@ class TestSession:
             with pytest.raises(KeyError, match="unknown scheduler"):
                 session.run(VSET, scheduler="SCHEDRANDOM")
             with pytest.raises(KeyError, match="unknown reuse policy"):
-                session.run(VSET, policy="CLUSWRONG")
+                session.run(VSET, reuse_policy="CLUSWRONG")
             with pytest.raises(TypeError):
                 session.run(VSET, executor=42)
 
@@ -315,7 +311,7 @@ class TestSession:
 
     def test_transient_session_cleans_store(self, points):
         before = _repro_segments()
-        batch = run_batch(Executor("processes", n_threads=2), points, VSET)
+        batch = run_batch("processes", points, VSET, n_threads=2)
         assert set(batch.results) == set(VSET)
         assert _repro_segments() == before
 
@@ -335,19 +331,127 @@ class TestShmLifecycleOnFailure:
                 session.run(VSET, executor="processes", n_threads=2)
         assert _repro_segments() == before
 
-    def test_failed_threads_run_raises(self, points):
-        # Plain runs propagate kernel errors on every substrate,
-        # in-process thread workers included.
+    def test_failed_simulated_run_raises(self, points):
+        # Plain runs propagate kernel errors on every substrate, the
+        # in-process sim substrate included.
         with Session(points, cost_model=_ExplodingCostModel()) as session:
             with pytest.raises(RuntimeError, match="exploding cost model"):
-                session.run(VSET, executor="threads", n_threads=2)
+                session.run(VSET, executor="simulated", n_threads=2)
 
-    def test_failed_executor_instance_run_leaks_nothing(self, points):
+    def test_failed_run_level_knob_run_leaks_nothing(self, points):
         before = _repro_segments()
-        ex = Executor("processes", n_threads=2, cost_model=_ExplodingCostModel())
         with pytest.raises(RuntimeError, match="exploding cost model"):
-            run_batch(ex, points, VSET)
+            run_batch(
+                "processes", points, VSET, n_threads=2,
+                cost_model=_ExplodingCostModel(),
+            )
         assert _repro_segments() == before
+
+
+# ----------------------------------------------------------------------
+# run knobs: one keyword list, one fallback step, one validation
+# ----------------------------------------------------------------------
+_SLOW = CostModel(node_visit_cost=2.0)
+_FAST = CostModel(node_visit_cost=0.5)
+_STRICT = SupervisePolicy(risk_budget=0.9)
+_RETRY = RetryPolicy(max_retries=1)
+_NO_FAULTS = FaultPlan([])
+
+#: Every ``Session.context`` keyword -> (session default, run override,
+#: what the RunContext holds).  ``None`` as the session default marks a
+#: run-only knob; ``checkpoint`` is reached through ``run(resume=...)``.
+KNOBS = {
+    "scheduler": ("SCHEDMINPTS", "SCHEDGREEDY", lambda c: c.scheduler.name),
+    "reuse_policy": ("CLUSSIZE", "CLUSDENSITY", lambda c: c.reuse_policy.name),
+    "n_threads": (None, 3, lambda c: c.n_threads),
+    "low_res_r": (8, 32, lambda c: c.indexes.t_low.r),
+    "batch_size": (8, 1, lambda c: c.batch_size),
+    "cache_bytes": (1 << 20, 2 << 20, lambda c: c.cache.capacity_bytes),
+    "cost_model": (_SLOW, _FAST, lambda c: c.cost_model),
+    "dataset": ("session", "run", lambda c: c.dataset),
+    "kernel": ("cellgraph", "bfs", lambda c: c.kernel),
+    "regions": (2, 3, lambda c: c.regions),
+    "part_size": (50, 60, lambda c: c.part_size),
+    "shard_threshold": (0, 100, lambda c: c.shard_threshold),
+    "retry_policy": (None, _RETRY, lambda c: c.retry_policy),
+    "fault_plan": (None, _NO_FAULTS, lambda c: c.fault_plan),
+    "checkpoint": (None, True, lambda c: c.checkpoint is not None),
+    "supervise": (SupervisePolicy(), _STRICT, lambda c: c.supervisor),
+}
+
+#: What a context holds for each knob when neither layer sets it.
+_UNSET = {
+    "n_threads": 1, "retry_policy": None, "fault_plan": None, "checkpoint": False,
+}
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Contexts the runtime receives; the runtime itself does not run."""
+    seen: list[RunContext] = []
+
+    def fake_run(self, ctx, variants, *, mode="variant"):
+        seen.append(ctx)
+        return BatchResult({}, BatchRunRecord(records=[], n_threads=ctx.n_threads))
+
+    monkeypatch.setattr(GraphRuntime, "run", fake_run)
+    return seen
+
+
+class TestRunKnobs:
+    def test_table_covers_the_keyword_list(self):
+        params = inspect.signature(Session.context).parameters
+        assert set(KNOBS) == set(params) - {"self"}
+
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    def test_run_override_beats_session_default(self, points, captured, tmp_path, knob):
+        default, override, read = KNOBS[knob]
+        init = {} if default is None else {knob: default}
+        run = {"resume": tmp_path} if knob == "checkpoint" else {knob: override}
+        with Session(points, **init) as session:
+            session.run(VSET, executor="simulated", **run)
+            session.run(VSET, executor="simulated")
+        with_override, without = (read(ctx) for ctx in captured)
+        assert with_override == override
+        assert without == (_UNSET[knob] if default is None else default)
+
+    def test_supervise_false_switches_the_default_off(self, points, captured):
+        with Session(points, supervise=True) as session:
+            session.run(VSET, supervise=False)
+        assert captured[0].supervisor is None
+
+    def test_serial_forces_one_thread(self, points, captured):
+        with Session(points) as session:
+            batch = session.run(VSET, executor="serial", n_threads=4)
+        assert captured[0].n_threads == 1
+        assert batch.record.n_threads == 1
+
+    def test_regions_and_part_size_fall_back_as_a_pair(self, points, captured):
+        with Session(points, regions=2) as session:
+            session.run(VSET, executor="simulated", part_size=60)
+        assert (captured[0].regions, captured[0].part_size) == (None, 60)
+
+    @pytest.mark.parametrize(
+        "knob, bad",
+        [
+            ("batch_size", -3),
+            ("cache_bytes", -5),
+            ("regions", 0),
+            ("part_size", 0),
+            ("shard_threshold", -1),
+            ("low_res_r", 0),
+            ("kernel", "quantum"),
+        ],
+    )
+    def test_out_of_range_knob_is_rejected_at_both_levels(self, points, knob, bad):
+        with pytest.raises(ValueError):
+            Session(points, **{knob: bad})
+        with Session(points) as session, pytest.raises(ValueError):
+            session.run(VSET, **{knob: bad})
+
+    def test_out_of_range_thread_count_is_rejected(self, points):
+        with Session(points) as session, pytest.raises(ValueError):
+            session.run(VSET, executor="simulated", n_threads=0)
 
 
 # ----------------------------------------------------------------------

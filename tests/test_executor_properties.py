@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.scheduling import SchedGreedy, SchedMinpts
 from repro.core.variants import Variant, VariantSet
 from repro.engine import IndexPair
-from repro.exec import Executor
 from repro.exec.graph import partition_reuse_chains
 from repro.util.rng import resolve_rng
 from tests.helpers import run_batch
@@ -49,8 +48,9 @@ class TestSimulatedInvariants:
         g = resolve_rng(17)
         cloud = np.vstack([g.normal(0, 0.5, (80, 2)), g.uniform(-2, 2, (40, 2))])
         sched = SchedMinpts() if use_minpts_sched else SchedGreedy()
-        executor = Executor("simulated", n_threads=n_threads, scheduler=sched)
-        batch = run_batch(executor, cloud, vset)
+        batch = run_batch(
+            "simulated", cloud, vset, n_threads=n_threads, scheduler=sched
+        )
         rec = batch.record
 
         # every variant ran exactly once
@@ -89,8 +89,8 @@ class TestSimulatedInvariants:
     def test_determinism(self, vset, n_threads):
         g = resolve_rng(17)
         cloud = np.vstack([g.normal(0, 0.5, (80, 2)), g.uniform(-2, 2, (40, 2))])
-        a = run_batch(Executor("simulated", n_threads=n_threads), cloud, vset).record
-        b = run_batch(Executor("simulated", n_threads=n_threads), cloud, vset).record
+        a = run_batch("simulated", cloud, vset, n_threads=n_threads).record
+        b = run_batch("simulated", cloud, vset, n_threads=n_threads).record
         assert [(r.variant.as_tuple(), r.start, r.finish, r.thread_id) for r in a.records] == [
             (r.variant.as_tuple(), r.start, r.finish, r.thread_id) for r in b.records
         ]

@@ -9,7 +9,7 @@ Each cell injects one fault — ``crash``, ``hang``, ``corrupt`` or
   ``shard_threshold=0``);
 * ``merge``: the sharded root's merge.
 
-It runs on each substrate (``sim``, ``threads``, ``lanes``) with a retry
+It runs on each substrate (``sim``, ``lanes``) with a retry
 budget of 0 or 2; the ``lanes`` cells also run under the default and a
 fully autonomous supervision policy.  Every cell must end in one of two
 ways: labels canonically equal to the fault-free run, or a
@@ -37,7 +37,6 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, Variant, VariantSet
-from repro.exec.graph import GraphRuntime
 from repro.resilience.audit import scan_segments
 from repro.supervise import SupervisePolicy
 from repro.util.rng import resolve_rng
@@ -61,11 +60,9 @@ SUPERVISION = {
     "-auto": SupervisePolicy(risk_budget=1.0),
 }
 
-#: Executor per (substrate, task kind); ``threads`` has no sharding row,
-#: so its shard and merge cells drive the runtime directly.
+#: Executor per (substrate, task kind).
 _EXECUTOR = {
     ("sim", "variant"): "simulated",
-    ("threads", "variant"): "threads",
     ("lanes", "variant"): "processes",
     ("sim", "shard"): "simulated",
     ("lanes", "shard"): "hybrid",
@@ -74,7 +71,7 @@ _EXECUTOR = {
 
 def _cells() -> list[tuple[str, str, str, int, str]]:
     cells = []
-    for substrate in ("sim", "threads", "lanes"):
+    for substrate in ("sim", "lanes"):
         modes = SUPERVISION if substrate == "lanes" else {"": None}
         for task in TASKS:
             for fault in FAULTS:
@@ -111,9 +108,6 @@ def _run(session: Session, cell, **kw):
     shard = task != "variant"
     if shard:
         kw.update(regions=2, shard_threshold=0)
-    if substrate == "threads" and shard:
-        ctx = session.context(n_threads=2, **kw)
-        return GraphRuntime("threads").run(ctx, VSET, mode="hybrid")
     return session.run(
         VSET, executor=_EXECUTOR[substrate, "shard" if shard else task],
         n_threads=2, **kw,
@@ -214,30 +208,6 @@ PINNED: dict[str, tuple] = {
     "sim-merge-corrupt-b2": ((), (2, 1, 0, 0, 0), ()),
     "sim-merge-kill-b0": ((), (2, 1, 0, 0, 0), ()),
     "sim-merge-kill-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-variant-crash-b0": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-variant-crash-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-variant-hang-b0": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-variant-hang-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-variant-corrupt-b0": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-variant-corrupt-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-variant-kill-b0": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-variant-kill-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-shard-crash-b0": (("(0.5,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-shard-crash-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-shard-hang-b0": (("(0.5,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-shard-hang-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-shard-corrupt-b0": ((), (3, 0, 0, 0, 0), ()),
-    "threads-shard-corrupt-b2": ((), (3, 0, 0, 0, 0), ()),
-    "threads-shard-kill-b0": ((), (2, 1, 0, 0, 0), ()),
-    "threads-shard-kill-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-merge-crash-b0": (("(0.5,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-merge-crash-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-merge-hang-b0": (("(0.5,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-merge-hang-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-merge-corrupt-b0": (("(0.5,5)",), (1, 0, 1, 0, 1), ()),
-    "threads-merge-corrupt-b2": ((), (2, 1, 0, 0, 0), ()),
-    "threads-merge-kill-b0": ((), (2, 1, 0, 0, 0), ()),
-    "threads-merge-kill-b2": ((), (2, 1, 0, 0, 0), ()),
     "lanes-variant-crash-b0": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
     "lanes-variant-crash-b0-sup": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),
     "lanes-variant-crash-b0-auto": (("(0.6,5)",), (1, 0, 1, 0, 1), ()),

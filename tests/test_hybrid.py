@@ -24,7 +24,7 @@ from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.taskgraph import lower_variants
 from repro.engine.context import KERNELS
-from repro.exec.graph import EVENT_SHARD_PLAN, GraphRuntime
+from repro.exec.graph import EVENT_SHARD_PLAN
 from repro.util.rng import resolve_rng
 from repro.util.tracing import SPAN_TASK, Tracer
 
@@ -92,7 +92,7 @@ def _hybrid_partition(points) -> tuple[set[Variant], list[Variant]]:
 @pytest.mark.parametrize("policy", MATRIX_POLICIES)
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize(
-    "executor", ["threads", "processes", "sharded", "hybrid", "simulated"]
+    "executor", ["processes", "sharded", "hybrid", "simulated"]
 )
 class TestLoweringMatrix:
     def test_matches_serial_reference(
@@ -108,7 +108,7 @@ class TestLoweringMatrix:
                 executor=executor,
                 n_threads=2,
                 scheduler=scheduler,
-                policy=policy,
+                reuse_policy=policy,
                 kernel=kernel,
                 **kw,
             )
@@ -292,20 +292,6 @@ class TestSimulatedModeSelection:
             )
         assert self._shard_plan_events(tracer) == []
         assert_canonical_equal(batch, baseline)
-
-
-# ----------------------------------------------------------------------
-# One dispatch loop: every substrate takes every lowering
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["shard", "hybrid"])
-def test_threads_substrate_runs_sharded_lowerings(points, baseline, mode):
-    """No executor row asks for it, but the shared loop runs shard and
-    hybrid graphs on the threads substrate too, byte-equal up to ids."""
-    with Session(points, regions=2, shard_threshold=0) as s:
-        ctx = s.context(n_threads=2)
-        batch = GraphRuntime("threads").run(ctx, VSET, mode=mode)
-    assert set(batch.results) == set(VSET)
-    assert_canonical_equal(batch, baseline)
 
 
 def test_sim_substrate_fires_merge_faults(points, baseline):

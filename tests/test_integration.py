@@ -18,7 +18,6 @@ from repro.core.reuse import CLUS_DENSITY
 from repro.core.variants import VariantSet
 from repro.data.registry import load_dataset
 from repro.engine import Session
-from repro.exec import Executor
 from repro.metrics.quality import quality_score
 from repro.util.rng import resolve_rng
 from tests.helpers import run_batch
@@ -36,21 +35,17 @@ class TestPipeline:
         pts = sw_tiny.points
         with Session(pts, low_res_r=70) as session:
             ref = reference_run(pts, VSET, index=session.indexes().t_high)
-            for executor in (
-                Executor("serial"),
-                Executor("simulated", n_threads=4),
-                Executor("threads", n_threads=2),
-            ):
-                batch = session.run(VSET, executor=executor)
+            for executor, n_threads in (("serial", 1), ("simulated", 4)):
+                batch = session.run(VSET, executor=executor, n_threads=n_threads)
                 for v in VSET:
                     assert quality_score(ref.results[v], batch.results[v]) >= 0.99, (
-                        f"{executor.name} diverged on {v}"
+                        f"{executor} diverged on {v}"
                     )
 
     def test_process_pool_pipeline(self, sw_tiny):
         pts = sw_tiny.points
         ref = reference_run(pts, VSET)
-        batch = run_batch(Executor("processes", n_threads=2), pts, VSET)
+        batch = run_batch("processes", pts, VSET, n_threads=2)
         for v in VSET:
             assert quality_score(ref.results[v], batch.results[v]) >= 0.99
 
@@ -81,7 +76,7 @@ class TestScaleStability:
         ds = load_dataset("SW1", scale)
         vs = VariantSet.from_product([0.3, 0.5], [4, 8, 12])
         ref = reference_run(ds.points, vs)
-        batch = run_batch(Executor("serial", reuse_policy=CLUS_DENSITY), ds.points, vs)
+        batch = run_batch("serial", ds.points, vs, reuse_policy=CLUS_DENSITY)
         assert ref.total_units / batch.record.makespan > 1.0
 
     @pytest.mark.parametrize("scale", [0.001, 0.003])

@@ -17,7 +17,6 @@ from repro.analysis.traces import check_traces
 from repro.cli import main
 from repro.core.dbscan import dbscan
 from repro.core.variants import VariantSet
-from repro.exec import Executor
 from repro.obs import (
     PHASE_PREFIX,
     SPAN_TASK,
@@ -137,23 +136,15 @@ class TestKernelInstrumentation:
 
 
 @pytest.mark.parametrize(
-    # deterministic=False for the thread backend: its reuse pattern is
-    # wall-clock dependent by design, so two runs agree on cluster
-    # *structure* (quality metric) but not on label ids.
-    "make, deterministic",
-    [
-        (lambda: Executor("serial"), True),
-        (lambda: Executor("simulated", n_threads=2), True),
-        (lambda: Executor("threads", n_threads=2), False),
-        (lambda: Executor("processes", n_threads=2), True),
-    ],
-    ids=["serial", "simulated", "threads", "processes"],
+    "executor, n_threads",
+    [("serial", 1), ("simulated", 2), ("processes", 2)],
+    ids=["serial", "simulated", "processes"],
 )
 class TestExecutorTracing:
-    def test_phases_cover_wall_clock(self, cloud, make, deterministic):
+    def test_phases_cover_wall_clock(self, cloud, executor, n_threads):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = run_batch(make(), cloud, VARIANTS)
+            batch = run_batch(executor, cloud, VARIANTS, n_threads=n_threads)
         registry = MetricsRegistry.from_batch(batch, tracer)
         coverage = registry.phase_coverage()
         assert set(coverage) == {str(v) for v in VARIANTS}
@@ -162,30 +153,23 @@ class TestExecutorTracing:
         for variant, ratio in coverage.items():
             assert ratio == pytest.approx(1.0, abs=0.05), (variant, coverage)
 
-    def test_variant_spans_present(self, cloud, make, deterministic):
+    def test_variant_spans_present(self, cloud, executor, n_threads):
         tracer = Tracer()
         with use_tracer(tracer):
-            run_batch(make(), cloud, VARIANTS)
+            run_batch(executor, cloud, VARIANTS, n_threads=n_threads)
         walls = [r for r in tracer.records() if r.name == "variant"]
         assert sorted(r.args["variant"] for r in walls) == sorted(
             str(v) for v in VARIANTS
         )
 
     def test_results_identical_with_and_without_tracing(
-        self, cloud, make, deterministic
+        self, cloud, executor, n_threads
     ):
-        from repro.metrics.quality import quality_score
-
-        plain = run_batch(make(), cloud, VARIANTS)
+        plain = run_batch(executor, cloud, VARIANTS, n_threads=n_threads)
         with use_tracer(Tracer()):
-            traced = run_batch(make(), cloud, VARIANTS)
+            traced = run_batch(executor, cloud, VARIANTS, n_threads=n_threads)
         for v in VARIANTS:
-            if deterministic:
-                assert np.array_equal(
-                    plain.results[v].labels, traced.results[v].labels
-                )
-            else:
-                assert quality_score(plain.results[v], traced.results[v]) >= 0.998
+            assert np.array_equal(plain.results[v].labels, traced.results[v].labels)
 
 
 class TestRegistry:
@@ -194,8 +178,7 @@ class TestRegistry:
         tracer = Tracer()
         with use_tracer(tracer):
             batch = run_batch(
-                Executor("serial", cache_bytes=1 << 20),
-                cloud, VARIANTS, dataset="two_blobs",
+                "serial", cloud, VARIANTS, cache_bytes=1 << 20, dataset="two_blobs"
             )
         return batch, tracer
 
@@ -257,8 +240,7 @@ class TestExport:
         tracer = Tracer()
         with use_tracer(tracer):
             batch = run_batch(
-                Executor("serial", cache_bytes=1 << 20),
-                cloud, VARIANTS, dataset="two_blobs",
+                "serial", cloud, VARIANTS, cache_bytes=1 << 20, dataset="two_blobs"
             )
         return MetricsRegistry.from_batch(batch, tracer)
 

@@ -58,7 +58,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import resolve_rng
 
-EXECUTORS = ["serial", "threads", "simulated", "processes"]
+EXECUTORS = ["serial", "simulated", "processes"]
 
 
 def _repro_segments() -> set[str]:
@@ -230,7 +230,7 @@ class TestRecoveryEquality:
                 executor=executor,
                 n_threads=3,
                 scheduler=scheduler,
-                policy=policy,
+                reuse_policy=policy,
                 fault_plan=RECOVERY_PLAN,
                 retry_policy=RECOVERY_POLICY,
             )
@@ -304,7 +304,7 @@ class TestPermanentFailure:
 # Acceptance scenario: crashed donors + a hung variant, no abort
 # ----------------------------------------------------------------------
 class TestAcceptanceScenario:
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["processes"])
     def test_two_dead_donors_one_hang(self, points, baseline, executor):
         assert len(VSET) >= 12
         tree = dependency_tree(VSET)

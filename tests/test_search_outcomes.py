@@ -16,12 +16,10 @@ import pytest
 
 import repro.engine.session as session_mod
 from repro import Session, VariantSet
-from repro.core.cellgraph import cellgraph_dbscan
 from repro.core.neighbors import NeighborSearcher, SearchOutcomes
 from repro.core.neighcache import NeighborhoodCache
 from repro.core.variant_dbscan import variant_dbscan
 from repro.data.registry import load_dataset
-from repro.index.cellgraph import CellGraphIndex
 from repro.index.rtree import RTree
 from repro.metrics.counters import WorkCounters
 from repro.obs import MetricsRegistry, Tracer, use_tracer
@@ -112,43 +110,6 @@ class TestExactness:
         # The scalar machine runs unmemoized.
         assert scalar_registry.search_outcomes is None
 
-    def test_threads_share_the_table_exactly(self, points, kernel):
-        """Four threads write one table concurrently; every variant still
-        equals its scalar replay from the donor the run actually used."""
-        settled = 0
-        with Session(points) as session:
-            pair = session.indexes()
-            for _ in range(3):
-                tracer = Tracer()
-                with use_tracer(tracer):
-                    batch = session.run(
-                        VARIANTS, executor="threads", n_threads=4, kernel=kernel
-                    )
-                registry = MetricsRegistry.from_batch(batch, tracer)
-                settled += registry.search_outcomes["settled"]
-                for rec in batch.record.records:
-                    v = rec.variant
-                    counters = WorkCounters()
-                    if rec.reused_from is None and kernel == "cellgraph":
-                        ref = cellgraph_dbscan(
-                            points, v.eps, v.minpts,
-                            index=CellGraphIndex(points, v.eps), counters=counters,
-                        )
-                    else:
-                        donor = (
-                            batch[rec.reused_from] if rec.reused_from else None
-                        )
-                        ref = variant_dbscan(
-                            points, v, donor, t_high=pair.t_high, t_low=pair.t_low,
-                            counters=counters, batch_size=1,
-                        )
-                    assert np.array_equal(batch[v].labels, ref.labels), v
-                    assert np.array_equal(batch[v].core_mask, ref.core_mask), v
-                    assert rec.counters.as_dict() == counters.as_dict(), v
-        # Which variants reuse depends on thread timing; across the
-        # repetitions some must have settled searches.
-        assert settled > 0
-
 
 def test_row_cache_counters_unchanged(points):
     """With a row cache the table stays off and the cache serves as before."""
@@ -161,7 +122,7 @@ def test_row_cache_counters_unchanged(points):
     assert totals.neigh_cache_hits + totals.neigh_cache_misses > 0
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_table_is_freed_when_the_run_returns(points, monkeypatch, executor):
     refs: list[weakref.ref] = []
 

@@ -48,7 +48,7 @@ from repro.core.shard import (
 from repro.core.variants import Variant, VariantSet
 from repro.engine.factory import INDEX_KINDS
 from repro.engine.session import Session
-from repro.exec import EXECUTORS, Executor
+from repro.exec import EXECUTORS
 from repro.index.brute import BruteForceIndex
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
@@ -319,9 +319,9 @@ class TestShardedExecutor:
 
     def test_regions_and_part_size_mutually_exclusive(self):
         with pytest.raises(ValueError):
-            Executor("sharded", regions=2, part_size=100)
-        with pytest.raises(ValueError):
             Session(np.zeros((4, 2)), regions=2, part_size=100)
+        with Session(np.zeros((4, 2))) as s, pytest.raises(ValueError):
+            s.run(EXEC_VSET, executor="sharded", regions=2, part_size=100)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_byte_equal_vs_serial_kernel(self, exec_cloud, exec_oracle, kernel):
@@ -355,11 +355,10 @@ class TestShardedExecutor:
             batch = s.run(VariantSet([v]), executor="sharded", n_threads=2)
         assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
-    def test_executor_instance_knobs_thread_through(self, exec_cloud, exec_oracle):
+    def test_run_knobs_thread_through(self, exec_cloud, exec_oracle):
         v = Variant(0.45, 4)
-        ex = Executor("sharded", n_threads=2, regions=4)
         with Session(exec_cloud) as s:
-            batch = s.run(VariantSet([v]), executor=ex)
+            batch = s.run(VariantSet([v]), executor="sharded", n_threads=2, regions=4)
         assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
     def test_records_account_every_variant(self, exec_cloud):

@@ -319,7 +319,7 @@ class TestRemediationLoop:
         exhausted = rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES)
         assert exhausted.kind == "degrade"
         assert rec.records[-1].action.kind == "degrade"
-        assert "substrate:lanes→threads" in rec.records[-1].action.detail
+        assert "substrate:lanes→serial" in rec.records[-1].action.detail
 
     def test_verifier_emits_paired_span(self, points):
         tracer = Tracer()
@@ -344,13 +344,13 @@ class TestLadder:
     def test_declared_rung_order(self):
         assert _rungs("lowering") == ("hybrid", "shard", "variant")
         assert _rungs("kernel") == ("cellgraph", "bfs")
-        assert _rungs("substrate") == ("lanes", "threads", "serial")
+        assert _rungs("substrate") == ("lanes", "serial")
         assert sorted({a for a, _ in LADDER}) == ["kernel", "lowering", "substrate"]
 
     def test_next_step_and_floor(self):
         step = Step(*LANES, LADDER[LANES])
-        assert (step.source, step.target) == ("lanes", "threads")
-        assert step.label == "substrate:lanes→threads"
+        assert (step.source, step.target) == ("lanes", "serial")
+        assert step.label == "substrate:lanes→serial"
         assert ("substrate", "serial") not in LADDER
         assert _rungs("substrate")[-1] == "serial"
         assert _rungs("lowering")[-1] == "variant"
@@ -391,16 +391,12 @@ class TestLadder:
         first = rec.on_failure("group:g0", "crash-loop", 3, 0.1, rung=LANES)
         assert rec.records[-1].decision == "applied"
         assert rec.records[-1].action.kind == "degrade"
-        assert (first.step.source, first.step.target) == ("lanes", "threads")
+        assert (first.step.source, first.step.target) == ("lanes", "serial")
         second = rec.on_failure(
-            "group:g0", "crash-loop", 4, 0.1, rung=("substrate", "threads")
-        )
-        assert (second.step.source, second.step.target) == ("threads", "serial")
-        third = rec.on_failure(
-            "group:g0", "crash-loop", 5, 0.1, rung=("substrate", "serial")
+            "group:g0", "crash-loop", 4, 0.1, rung=("substrate", "serial")
         )
         # Serial is the floor: no step comes back.
-        assert third.step is None
+        assert second.step is None
 
 
 # ----------------------------------------------------------------------
@@ -435,15 +431,6 @@ class TestSuperviseKnob:
         with Session(points) as s:
             assert s.context().supervisor is None
             assert s.context(supervise=pol).supervisor is pol
-
-    def test_executor_level_knob(self, points):
-        from repro.exec import Executor
-
-        ex = Executor("processes", supervise=True)
-        assert ex.supervise == SupervisePolicy()
-        assert "supervise" in repr(ex)
-        with Session(points) as s:
-            assert s.context(executor=ex).supervisor == SupervisePolicy()
 
 
 # ----------------------------------------------------------------------
